@@ -401,8 +401,8 @@ fn run_case(case: Case, spec: &WorkloadSpec) -> Measurement {
         adaptive: false,
     });
     let mut cfg = LiveNodeConfig::new(case.protocol)
-        .with_group_commit(gc)
         .with_opts(case.opts())
+        .with_group_commit(gc)
         .with_observability();
     // Log files go under target/ so fsync hits the real filesystem the
     // build uses, not a tmpfs that would flatter the numbers.

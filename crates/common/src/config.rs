@@ -297,14 +297,13 @@ pub struct GroupCommitConfig {
     pub batch_size: usize,
     /// Maximum time the first queued request may wait.
     pub max_wait: SimDuration,
-    /// Adaptive batching: flush immediately while the force queue is
-    /// shallow (forces arrive slower than a physical flush completes) and
-    /// batch only under real depth. A fast log — the in-memory backend,
-    /// or a battery-backed controller — gains nothing from waiting
-    /// `max_wait` for company that never comes; a slow log under
-    /// concurrent load still amortizes exactly as the paper describes.
-    /// Off by default: the fixed policy is the paper's, and it stays
-    /// byte-for-byte deterministic in the simulator.
+    /// Retired: must be `false` ([`validate`](Self::validate) rejects
+    /// `true`). It used to select an estimator that guessed from arrival
+    /// and flush-cost averages when waiting for company was pointless;
+    /// the live host now observes that directly — a lane about to block
+    /// flushes its open batch (`GroupCommitter::idle`) — so there is
+    /// nothing left to switch on. The field stays because struct literals
+    /// across the workspace and the benchmark name it.
     pub adaptive: bool,
 }
 
@@ -324,13 +323,14 @@ impl GroupCommitConfig {
         if self.batch_size == 0 {
             return Err(Error::Config("group commit batch_size must be >= 1".into()));
         }
+        if self.adaptive {
+            return Err(Error::Config(
+                "group commit `adaptive` is retired: the live host flushes an open \
+                 batch whenever its lane goes idle, which subsumes it; set it to false"
+                    .into(),
+            ));
+        }
         Ok(())
-    }
-
-    /// Turns on adaptive batching (see [`GroupCommitConfig::adaptive`]).
-    pub fn with_adaptive(mut self) -> Self {
-        self.adaptive = true;
-        self
     }
 }
 
@@ -395,6 +395,13 @@ mod tests {
         assert!(GroupCommitConfig::default().validate().is_ok());
         let c = OptimizationConfig::none().with_group_commit(Some(bad));
         assert!(c.validate().is_err());
+        // The retired switch fails loudly instead of being ignored.
+        let adaptive = GroupCommitConfig {
+            adaptive: true,
+            ..GroupCommitConfig::default()
+        };
+        let err = adaptive.validate().expect_err("adaptive is rejected");
+        assert!(err.to_string().contains("adaptive"), "{err}");
     }
 
     #[test]

@@ -901,6 +901,26 @@ mod tests {
     }
 
     #[test]
+    fn finished_transactions_leave_no_timer_behind() {
+        // Every commit arms (and, finishing, cancels) failure timers that
+        // are seconds long. They must leave the lane's queue when they
+        // are cancelled, not when they would have come due: a queue of
+        // dead deadlines turns every idle wait into a poll once the node
+        // is older than the timeout.
+        let c = cluster(3, ProtocolKind::PresumedAbort);
+        for i in 0..2_000 {
+            let t = c.begin(NodeId(i % 2));
+            t.work(NodeId(2), vec![Op::put("k", "v")]);
+            assert_eq!(t.commit().expect("root alive").outcome, Outcome::Commit);
+        }
+        assert!(c.quiesce(Duration::from_secs(10)));
+        for s in c.shutdown() {
+            assert_eq!(s.active_txns, 0, "{:?}", s.node);
+            assert_eq!(s.pending_timers, 0, "{:?}", s.node);
+        }
+    }
+
+    #[test]
     fn read_only_transaction_commits_without_logging() {
         let opts = tpc_common::OptimizationConfig::none().with_read_only(true);
         let c = LiveCluster::start(vec![

@@ -94,6 +94,7 @@ mod node;
 pub mod obs_export;
 pub mod signal;
 pub mod tcp;
+mod timers;
 pub mod verify;
 mod workload;
 

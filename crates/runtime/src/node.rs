@@ -4,10 +4,10 @@
 //! Action interpretation is NOT done here: every engine action runs
 //! through the shared [`Driver`] in `tpc-core`, exactly as in the
 //! simulator. This module only supplies the live seams — a real
-//! transport, a wall-clock timer heap, the application reply channels —
+//! transport, a wall-clock timer queue, the application reply channels —
 //! through the driver's host traits.
 
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -40,6 +40,7 @@ use tpc_wal::{
 };
 
 use crate::signal::ClusterSignal;
+use crate::timers::TimerQueue;
 
 /// Where a live node keeps its write-ahead log.
 #[derive(Clone, Debug, Default)]
@@ -577,8 +578,29 @@ impl LiveNodeConfig {
         self
     }
 
-    /// Replaces the optimization switches.
+    /// Replaces the optimization switches — all of them, so it goes
+    /// *before* the builders that edit a single switch
+    /// ([`with_group_commit`](Self::with_group_commit),
+    /// [`with_segmented_log`](Self::with_segmented_log)).
+    ///
+    /// # Panics
+    ///
+    /// If the replacement would silently drop what one of those builders
+    /// already set: a node labelled "group commit" or "shared log" that
+    /// runs without it is a misconfiguration, and builders run at
+    /// start-up, where failing loudly is cheap.
     pub fn with_opts(mut self, opts: OptimizationConfig) -> Self {
+        assert!(
+            self.opts.group_commit.is_none() || opts.group_commit == self.opts.group_commit,
+            "with_opts after with_group_commit would discard the group-commit policy \
+             {:?}: call with_opts first",
+            self.opts.group_commit
+        );
+        assert!(
+            !matches!(self.log_backend, LogBackend::Segmented(_)) || opts.shared_log,
+            "with_opts after with_segmented_log would discard shared_log, which the \
+             segmented backend's single multiplexed chain requires: call with_opts first"
+        );
         self.opts = opts;
         self
     }
@@ -724,6 +746,9 @@ pub struct NodeSummary {
     pub acks: AckSlotStats,
     /// Transactions still unresolved.
     pub active_txns: usize,
+    /// Protocol timers currently armed (summed over lanes). Cancelled
+    /// timers leave the queue at once, so on a quiescent node this is 0.
+    pub pending_timers: usize,
     /// Snapshot of the engine's protocol state for the shared consistency
     /// checker ([`tpc_core::check`]) — the same structure the simulator's
     /// verifier consumes, so chaos runs assert identical invariants.
@@ -772,6 +797,7 @@ impl NodeSummary {
             self.acks = other.acks;
         }
         self.active_txns += other.active_txns;
+        self.pending_timers += other.pending_timers;
         self.protocol_state
             .active
             .extend(other.protocol_state.active);
@@ -779,31 +805,6 @@ impl NodeSummary {
             .completed
             .extend(other.protocol_state.completed);
         self.protocol_state.crashed |= other.protocol_state.crashed;
-    }
-}
-
-struct TimerEntry {
-    deadline: Instant,
-    txn: TxnId,
-    kind: TimerKind,
-    gen: u64,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: min-heap by deadline.
-        other.deadline.cmp(&self.deadline)
     }
 }
 
@@ -827,7 +828,7 @@ struct LiveHost<T: Transport> {
     /// single-lane nodes. Used to forward lock grants and deadlock
     /// victims to the lane owning the affected transaction.
     lane_peers: Vec<Sender<Inbound>>,
-    timers: BinaryHeap<TimerEntry>,
+    timers: TimerQueue,
     pending_ops: HashMap<TxnId, VecDeque<Op>>,
     deadlocked: HashSet<TxnId>,
     /// Prepare requests deferred until blocked local work completes
@@ -851,10 +852,6 @@ struct LiveHost<T: Transport> {
     /// `append_tm` → `suspend_rest` pair, which happen back to back on
     /// this thread).
     suspending_ticket: Option<u64>,
-    /// Wall-clock deadline of the pending batch; mirrors the
-    /// committer's internal deadline exactly (set on `WaitUntil`,
-    /// cleared on any flush).
-    group_deadline: Option<Instant>,
     /// Tails released by a flush, waiting for the worker to re-apply
     /// them through the driver (the host cannot re-enter the driver
     /// from inside a host callback).
@@ -905,7 +902,7 @@ impl<T: Transport> LiveHost<T> {
             lanes: 1,
             lane: 0,
             lane_peers: Vec::new(),
-            timers: BinaryHeap::new(),
+            timers: TimerQueue::default(),
             pending_ops: HashMap::new(),
             deadlocked: HashSet::new(),
             prepare_waiting: HashMap::new(),
@@ -918,7 +915,6 @@ impl<T: Transport> LiveHost<T> {
             suspended: HashMap::new(),
             next_ticket: 0,
             suspending_ticket: None,
-            group_deadline: None,
             resume_ready: VecDeque::new(),
             obs: None,
             group_opened_at: None,
@@ -970,16 +966,14 @@ impl<T: Transport> LiveHost<T> {
         }
     }
 
-    /// One physical group-batch flush: timed into the Fsync histogram,
-    /// charged to the GroupFlush window, and fed back to the committer's
-    /// flush-cost estimate so the adaptive policy can calibrate.
+    /// One physical group-batch flush: timed into the Fsync histogram
+    /// and charged to the GroupFlush window.
     ///
     /// Returns whether the batch is durable. `false` means the sync
     /// failed and retries did not save it: the caller must NOT resume the
     /// batch's suspended tails (their forces never became stable), and
     /// the node has been degraded or marked for fail-stop per policy.
     fn flush_group_batch(&mut self) -> bool {
-        let started = Instant::now();
         let mut res = self.timed(Phase::Fsync, |h| h.log.flush_batch());
         if res.is_err() {
             self.health.note_error();
@@ -991,10 +985,6 @@ impl<T: Transport> LiveHost<T> {
                     Err(_) => self.health.note_error(),
                 }
             }
-        }
-        let micros = started.elapsed().as_micros() as u64;
-        if let Some(gc) = self.group.as_mut() {
-            gc.note_flush_micros(micros);
         }
         self.note_group_flush();
         if res.is_err() {
@@ -1014,31 +1004,35 @@ impl<T: Transport> LiveHost<T> {
         true
     }
 
-    /// Moves the released tickets' suspended tails to the resume queue,
-    /// in ticket (submission) order.
-    fn release_tickets(&mut self, tickets: Vec<u64>, skip: Option<u64>) {
+    /// Performs the one physical flush a batch the committer just
+    /// released is owed — whichever trigger released it (size, timer,
+    /// idle lane, shutdown drain) — and settles the batch's suspended
+    /// action-stream tails, in ticket (submission) order: moved to the
+    /// resume queue when the flush made their forces durable, dropped
+    /// when it did not (after the retries and [`IoErrorPolicy`] verdict
+    /// of [`flush_group_batch`](Self::flush_group_batch)), so a decision
+    /// behind an undurable force is never announced and its transaction
+    /// resolves through the normal failure machinery, exactly as if the
+    /// node had crashed mid-batch.
+    ///
+    /// `inline` is the ticket of the append that is triggering the flush
+    /// from inside the driver: its tail is not parked, so the caller
+    /// continues it (`Done`) or poisons it from the returned verdict.
+    /// The host cannot re-enter the driver; the worker pumps the resume
+    /// queue afterwards.
+    fn flush_and_release(&mut self, tickets: Vec<u64>, inline: Option<u64>) -> bool {
+        let durable = self.flush_group_batch();
         for t in tickets {
-            if Some(t) == skip {
-                continue; // the in-flight append's own tail continues inline
+            if Some(t) == inline {
+                continue;
             }
             if let Some(rest) = self.suspended.remove(&t) {
-                self.resume_ready.push_back(rest);
+                if durable {
+                    self.resume_ready.push_back(rest);
+                }
             }
         }
-    }
-
-    /// Drops the released tickets' suspended tails without resuming
-    /// them: their forced records never became durable, so the decisions
-    /// behind them must not be announced. The transactions resolve
-    /// through the normal failure machinery (timeouts, partner-down,
-    /// restart recovery) exactly as if the node had crashed mid-batch.
-    fn discard_tickets(&mut self, tickets: Vec<u64>, skip: Option<u64>) {
-        for t in tickets {
-            if Some(t) == skip {
-                continue; // the in-flight append's tail is poisoned instead
-            }
-            self.suspended.remove(&t);
-        }
+        durable
     }
 
     /// A forced append failed. If the frame was written (`written`: the
@@ -1287,21 +1281,19 @@ impl<T: Transport> LogHost for LiveHost<T> {
                 .request(now, ticket);
             match decision {
                 FlushDecision::FlushNow(tickets) => {
-                    self.group_deadline = None;
-                    if self.flush_group_batch() {
-                        self.release_tickets(tickets, Some(ticket));
+                    if self.flush_and_release(tickets, Some(ticket)) {
                         LogControl::Done
                     } else {
                         // The whole batch failed to become durable: no
                         // tail in it may run, including this append's.
-                        self.discard_tickets(tickets, Some(ticket));
                         self.poison_next_suspend = true;
                         LogControl::Suspend
                     }
                 }
-                FlushDecision::WaitUntil(deadline) => {
+                FlushDecision::WaitUntil(_) => {
+                    // The deadline stays with the committer: the worker
+                    // asks it (`expire`) on every pass of a busy lane.
                     self.suspending_ticket = Some(ticket);
-                    self.group_deadline = Some(self.epoch + Duration::from_micros(deadline.0));
                     if self.group_opened_at.is_none() {
                         self.group_opened_at = Some(Instant::now());
                     }
@@ -1434,15 +1426,13 @@ impl<T: Transport> TimerHost for LiveHost<T> {
         delay: SimDuration,
         gen: u64,
     ) {
-        self.timers.push(TimerEntry {
-            deadline: Instant::now() + Duration::from_micros(delay.as_micros()),
-            txn,
-            kind,
-            gen,
-        });
+        let deadline = Instant::now() + Duration::from_micros(delay.as_micros());
+        self.timers.set(txn, kind, deadline, gen);
     }
-    // cancel_timer: default no-op — the heap is lazily cleaned by the
-    // driver's generation check.
+
+    fn cancel_timer(&mut self, txn: TxnId, kind: TimerKind) {
+        self.timers.cancel(txn, kind);
+    }
 }
 
 impl<T: Transport> AppSink for LiveHost<T> {
@@ -2097,16 +2087,29 @@ impl<T: Transport> NodeWorker<T> {
 
     /// The worker's main loop; returns the final summary at shutdown.
     pub fn run(mut self) -> NodeSummary {
+        // A restarted lane can arrive here with a batch open: recovery's
+        // re-driven decisions force their records before the first message.
+        if self.flush_group_if_due() {
+            self.signal.bump();
+        }
         loop {
+            // No group-commit term: a lane about to block has already
+            // flushed its open batch (`flush_group_if_due`).
+            debug_assert!(
+                !self.rx.is_empty()
+                    || self
+                        .host
+                        .group
+                        .as_ref()
+                        .is_none_or(|g| g.pending_len() == 0),
+                "lane going to sleep on an open group-commit batch"
+            );
             let mut timeout = self
                 .host
                 .timers
-                .peek()
-                .map(|t| t.deadline.saturating_duration_since(Instant::now()))
+                .next_deadline()
+                .map(|dl| dl.saturating_duration_since(Instant::now()))
                 .unwrap_or(Duration::from_millis(250));
-            if let Some(dl) = self.host.group_deadline {
-                timeout = timeout.min(dl.saturating_duration_since(Instant::now()));
-            }
             if let Some(dl) = self.ack_deadline {
                 timeout = timeout.min(dl.saturating_duration_since(Instant::now()));
             }
@@ -2156,8 +2159,8 @@ impl<T: Transport> NodeWorker<T> {
                 }
             }
             progressed |= self.fire_due_timers();
-            progressed |= self.expire_group_if_due();
             progressed |= self.expire_lock_waits_if_due();
+            progressed |= self.flush_group_if_due();
             self.park_owed_acks();
             self.flush_acks_if_idle();
             self.sample_gauges();
@@ -2250,44 +2253,56 @@ impl<T: Transport> NodeWorker<T> {
         true
     }
 
-    /// Fires the batch deadline: if the pending group-commit batch has
-    /// outlived `max_wait`, one physical flush releases every suspended
-    /// action-stream tail. Returns whether a flush happened.
-    fn expire_group_if_due(&mut self) -> bool {
-        let Some(dl) = self.host.group_deadline else {
-            return false;
-        };
-        if Instant::now() < dl {
-            return false;
-        }
-        self.host.group_deadline = None;
+    /// Takes the open batch from the committer through `trigger`, gives
+    /// it its one physical flush and resumes the released tails. Returns
+    /// whether a batch was taken.
+    fn flush_group(
+        &mut self,
+        trigger: impl FnOnce(&mut GroupCommitter<u64>, SimTime) -> Option<Vec<u64>>,
+    ) -> bool {
         let now = self.host.now();
-        let released = self.host.group.as_mut().and_then(|gc| gc.expire(now));
-        let Some(tickets) = released else {
+        let tickets = self.host.group.as_mut().and_then(|gc| trigger(gc, now));
+        let Some(tickets) = tickets else {
             return false;
         };
-        if self.host.flush_group_batch() {
-            self.host.release_tickets(tickets, None);
-        } else {
-            self.host.discard_tickets(tickets, None);
-        }
+        self.host.flush_and_release(tickets, None);
         self.pump();
         true
+    }
+
+    /// The two triggers only the lane loop can pull, checked before the
+    /// lane's first wait and then once the current message (and whatever
+    /// timers it let come due) has been handled: the batch has outlived `max_wait` on a lane that stays
+    /// busy (§4's timer), or the inbox is empty, so the lane is about to
+    /// block and nothing can join the batch before it wakes — flushing
+    /// now costs no batching the lane could still have had, and the
+    /// forces that arrive during this flush are the next batch. Resumed
+    /// tails may force again, hence the loop: the lane never reaches
+    /// `recv_timeout` holding a batch. A `Kill` returns before this runs,
+    /// so a crash still loses the open batch like a power failure.
+    fn flush_group_if_due(&mut self) -> bool {
+        let mut flushed = false;
+        // Most passes have no batch open (and most nodes no committer):
+        // those cost this one check, not a clock read or an inbox probe.
+        let open = |gc: &GroupCommitter<u64>| gc.pending_len() > 0;
+        while self.host.group.as_ref().is_some_and(open) {
+            // Idle first, so a flush booked to the timer means the lane
+            // was busy when the deadline passed.
+            let idle = self.rx.is_empty();
+            let took = self.flush_group(|gc, now| if idle { gc.idle() } else { gc.expire(now) });
+            if !took {
+                break;
+            }
+            flushed = true;
+        }
+        flushed
     }
 
     /// Flushes whatever the group committer still holds (clean shutdown
     /// path — a kill deliberately does NOT do this, so suspended forces
     /// die with the node like any other unflushed buffer).
     fn drain_group(&mut self) {
-        let released = self.host.group.as_mut().and_then(|gc| gc.drain());
-        let Some(tickets) = released else { return };
-        self.host.group_deadline = None;
-        if self.host.flush_group_batch() {
-            self.host.release_tickets(tickets, None);
-        } else {
-            self.host.discard_tickets(tickets, None);
-        }
-        self.pump();
+        self.flush_group(|gc, _| gc.drain());
     }
 
     /// Models a process crash: buffered (non-durable) log tails are
@@ -2447,6 +2462,7 @@ impl<T: Transport> NodeWorker<T> {
                 .map(|s| s.stats())
                 .unwrap_or_default(),
             active_txns: self.driver.engine().active_txns(),
+            pending_timers: self.host.timers.len(),
             protocol_state: NodeProtocolState::from_engine(
                 self.host.node,
                 crashed,
@@ -2458,19 +2474,16 @@ impl<T: Transport> NodeWorker<T> {
     fn fire_due_timers(&mut self) -> bool {
         let now = Instant::now();
         let mut fired = false;
-        while let Some(t) = self.host.timers.peek() {
-            if t.deadline > now {
-                break;
-            }
-            let t = self.host.timers.pop().expect("peeked");
-            if !self.driver.timer_is_current(t.txn, t.kind, t.gen) {
-                continue; // cancelled or superseded
+        // The queue holds only armed timers (cancel and re-arm remove the
+        // old entry), so there is no skip loop over dead entries. The
+        // generation is still checked: `Driver::clear_timers` invalidates
+        // without telling the host.
+        while let Some((txn, kind, gen)) = self.host.timers.pop_due(now) {
+            if !self.driver.timer_is_current(txn, kind, gen) {
+                continue;
             }
             fired = true;
-            self.drive(Event::TimerFired {
-                txn: t.txn,
-                kind: t.kind,
-            });
+            self.drive(Event::TimerFired { txn, kind });
         }
         fired
     }
@@ -2641,6 +2654,43 @@ mod tests {
         }
     }
 
+    fn gc_policy() -> GroupCommitConfig {
+        GroupCommitConfig {
+            batch_size: 8,
+            max_wait: SimDuration::from_millis(2),
+            adaptive: false,
+        }
+    }
+
+    #[test]
+    fn with_opts_first_keeps_what_the_single_switch_builders_set() {
+        let cfg = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
+            .with_opts(OptimizationConfig::none().with_read_only(true))
+            .with_segmented_log("unused")
+            .with_group_commit(Some(gc_policy()));
+        assert!(cfg.opts.read_only && cfg.opts.shared_log);
+        assert_eq!(cfg.opts.group_commit, Some(gc_policy()));
+        // A replacement that carries the same switches discards nothing.
+        let same = cfg.opts.clone();
+        assert_eq!(cfg.with_opts(same).opts.group_commit, Some(gc_policy()));
+    }
+
+    #[test]
+    #[should_panic(expected = "discard the group-commit policy")]
+    fn with_opts_after_with_group_commit_panics() {
+        let _ = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
+            .with_group_commit(Some(gc_policy()))
+            .with_opts(OptimizationConfig::none());
+    }
+
+    #[test]
+    #[should_panic(expected = "discard shared_log")]
+    fn with_opts_after_with_segmented_log_panics() {
+        let _ = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
+            .with_segmented_log("unused")
+            .with_opts(OptimizationConfig::none());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -2709,28 +2759,5 @@ mod tests {
             prop_assert_eq!(stats.parked, parked_n);
             prop_assert_eq!(stats.piggybacked + stats.flushed, parked_n, "counters reconcile");
         }
-    }
-
-    #[test]
-    fn timer_heap_is_min_by_deadline() {
-        let base = Instant::now();
-        let mk = |ms: u64| TimerEntry {
-            deadline: base + Duration::from_millis(ms),
-            txn: TxnId::new(NodeId(0), 1),
-            kind: TimerKind::VoteCollection,
-            gen: 0,
-        };
-        let mut heap = BinaryHeap::new();
-        heap.push(mk(30));
-        heap.push(mk(10));
-        heap.push(mk(20));
-        assert_eq!(
-            heap.pop().unwrap().deadline,
-            base + Duration::from_millis(10)
-        );
-        assert_eq!(
-            heap.pop().unwrap().deadline,
-            base + Duration::from_millis(20)
-        );
     }
 }

@@ -93,11 +93,6 @@ pub fn prometheus_text(summaries: &[NodeSummary]) -> String {
                     s.group.requests,
                 ),
                 (
-                    "tpc_group_flushes_total",
-                    "Group-commit batches flushed",
-                    s.group.flushes,
-                ),
-                (
                     "tpc_heuristic_decisions_total",
                     "Heuristic decisions taken at this node while in doubt",
                     s.metrics.heuristic_decisions,
@@ -248,7 +243,23 @@ pub fn prometheus_text(summaries: &[NodeSummary]) -> String {
                     s.lock_waiters as f64,
                 ),
             ];
-            let mut labeled = Vec::new();
+            // One series per trigger; they sum to `GroupStats::flushes`.
+            let mut labeled: Vec<_> = [
+                ("size", s.group.flushes_by_size),
+                ("timer", s.group.flushes_by_timer),
+                ("idle", s.group.flushes_by_idle),
+            ]
+            .into_iter()
+            .map(|(trigger, flushes)| {
+                (
+                    "tpc_group_flushes_total",
+                    "Group-commit batches flushed, by what closed the batch \
+                     (a shutdown drain counts as timer)",
+                    format!("trigger=\"{trigger}\""),
+                    flushes,
+                )
+            })
+            .collect();
             for (labels, ls) in stripe_rows(&s.lock_stripes) {
                 labeled.push((
                     "tpc_lock_waits_total",

@@ -83,7 +83,10 @@ impl ClusterSignal {
             if Instant::now() >= deadline {
                 return None;
             }
-            self.wait_past(seen, deadline);
+            // One slice per pass: a state change that comes without a bump
+            // (a worker thread finishing *after* its final bump) is seen
+            // at the next slice, not at `deadline`.
+            self.wait_past(seen, deadline.min(Instant::now() + MAX_WAIT_SLICE));
         }
     }
 }
@@ -119,6 +122,18 @@ mod tests {
         let got: Option<()> = sig.wait_for(Duration::from_millis(30), || None);
         assert!(got.is_none());
         assert!(start.elapsed() >= Duration::from_millis(30));
+    }
+
+    #[test]
+    fn wait_for_rechecks_without_a_bump() {
+        // The state changes silently: only the capped wait can see it.
+        let sig = ClusterSignal::new();
+        let start = Instant::now();
+        let got = sig.wait_for(Duration::from_secs(5), || {
+            (start.elapsed() >= Duration::from_millis(20)).then_some(())
+        });
+        assert!(got.is_some());
+        assert!(start.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

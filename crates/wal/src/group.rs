@@ -4,6 +4,16 @@
 //! two things occur: either a defined number of force-write requests
 //! arrive, or a timer expires."
 //!
+//! Those are the paper's two triggers ([`GroupCommitter::request`] filling
+//! the batch, [`GroupCommitter::expire`] at the deadline). A host that can
+//! *observe* that nothing more will join the batch before it next blocks
+//! has a third: [`GroupCommitter::idle`] releases the open batch at once,
+//! so the batch grows only while the host has work and the flush itself
+//! clocks the batching — whatever arrives during one device flush is the
+//! next batch. The live runtime calls it whenever a lane is about to sleep;
+//! the simulator never does (virtual time has no "about to sleep"), so
+//! there the policy is exactly the paper's.
+//!
 //! [`GroupCommitter`] is a pure, clock-driven state machine so the same
 //! policy code runs under the deterministic simulator (virtual clock) and
 //! the live runtime (wall clock). Callers hand in an opaque *ticket* per
@@ -29,15 +39,15 @@ pub enum FlushDecision<T> {
 pub struct GroupStats {
     /// Logical force requests submitted.
     pub requests: u64,
-    /// Physical flushes performed (batch full or timer).
+    /// Physical flushes performed, whatever the trigger: the sum of the
+    /// three `flushes_by_*` counters.
     pub flushes: u64,
     /// Flushes triggered by the batch filling.
     pub flushes_by_size: u64,
-    /// Flushes triggered by timer expiry.
+    /// Flushes triggered by timer expiry (or a shutdown drain).
     pub flushes_by_timer: u64,
-    /// Immediate flushes taken by the adaptive policy because the force
-    /// queue was shallow (arrivals slower than a physical flush).
-    pub flushes_adaptive: u64,
+    /// Flushes triggered by the host going idle with the batch open.
+    pub flushes_by_idle: u64,
 }
 
 impl GroupStats {
@@ -53,7 +63,7 @@ impl GroupStats {
         self.flushes += other.flushes;
         self.flushes_by_size += other.flushes_by_size;
         self.flushes_by_timer += other.flushes_by_timer;
-        self.flushes_adaptive += other.flushes_adaptive;
+        self.flushes_by_idle += other.flushes_by_idle;
     }
 }
 
@@ -65,13 +75,6 @@ pub struct GroupCommitter<T> {
     /// Deadline set when the first request of the current batch arrived.
     deadline: Option<SimTime>,
     stats: GroupStats,
-    /// When the previous force request arrived (adaptive policy input).
-    last_request: Option<SimTime>,
-    /// Smoothed force inter-arrival gap, µs.
-    gap_ewma_us: Option<u64>,
-    /// Smoothed physical-flush cost, µs (reported by the host via
-    /// [`GroupCommitter::note_flush_micros`]). `None` until measured.
-    flush_cost_us: Option<u64>,
 }
 
 impl<T> GroupCommitter<T> {
@@ -82,9 +85,6 @@ impl<T> GroupCommitter<T> {
             pending: Vec::new(),
             deadline: None,
             stats: GroupStats::default(),
-            last_request: None,
-            gap_ewma_us: None,
-            flush_cost_us: None,
         }
     }
 
@@ -103,54 +103,20 @@ impl<T> GroupCommitter<T> {
         self.stats
     }
 
-    /// Reports the measured cost of one physical flush, in microseconds.
-    /// Feeds the adaptive policy's shallow-queue test; a no-op for the
-    /// fixed policy. Hosts call this after every `flush_batch`.
-    pub fn note_flush_micros(&mut self, micros: u64) {
-        self.flush_cost_us = Some(match self.flush_cost_us {
-            Some(prev) => (prev * 3 + micros) / 4,
-            None => micros,
-        });
-    }
-
-    /// The adaptive shallow-queue test: batching only pays when forces
-    /// arrive faster than the device can flush them one by one. With no
-    /// flush-cost measurement yet the queue counts as shallow, so the
-    /// first forces flush solo and calibrate the estimate.
-    fn queue_is_shallow(&self) -> bool {
-        match (self.gap_ewma_us, self.flush_cost_us) {
-            (Some(gap), Some(cost)) => gap >= cost,
-            _ => true,
-        }
+    /// Closes the open batch for one physical flush.
+    fn release(&mut self) -> Vec<T> {
+        self.stats.flushes += 1;
+        self.deadline = None;
+        std::mem::take(&mut self.pending)
     }
 
     /// Submits a force request at virtual time `now`.
     pub fn request(&mut self, now: SimTime, ticket: T) -> FlushDecision<T> {
         self.stats.requests += 1;
-        if let Some(prev) = self.last_request {
-            let gap = now.since(prev).as_micros();
-            self.gap_ewma_us = Some(match self.gap_ewma_us {
-                Some(e) => (e * 3 + gap) / 4,
-                None => gap,
-            });
-        }
-        self.last_request = Some(now);
         self.pending.push(ticket);
         if self.pending.len() >= self.cfg.batch_size {
-            self.stats.flushes += 1;
             self.stats.flushes_by_size += 1;
-            self.deadline = None;
-            return FlushDecision::FlushNow(std::mem::take(&mut self.pending));
-        }
-        // Adaptive fast path: this request opened a batch nobody else is
-        // waiting in, and the arrival rate says company is unlikely to
-        // show before a flush would finish anyway — flush immediately
-        // instead of stalling the tail behind `max_wait`.
-        if self.cfg.adaptive && self.pending.len() == 1 && self.queue_is_shallow() {
-            self.stats.flushes += 1;
-            self.stats.flushes_adaptive += 1;
-            self.deadline = None;
-            return FlushDecision::FlushNow(std::mem::take(&mut self.pending));
+            return FlushDecision::FlushNow(self.release());
         }
         let deadline = *self
             .deadline
@@ -160,18 +126,31 @@ impl<T> GroupCommitter<T> {
 
     /// Called when a previously returned deadline arrives. Returns the
     /// tickets to release if the batch is still pending and its deadline
-    /// has indeed passed; `None` if a size-triggered flush already took it
-    /// (a stale timer).
+    /// has indeed passed; `None` if another trigger already took it (a
+    /// stale timer).
     pub fn expire(&mut self, now: SimTime) -> Option<Vec<T>> {
         match self.deadline {
             Some(d) if now >= d && !self.pending.is_empty() => {
-                self.stats.flushes += 1;
                 self.stats.flushes_by_timer += 1;
-                self.deadline = None;
-                Some(std::mem::take(&mut self.pending))
+                Some(self.release())
             }
             _ => None,
         }
+    }
+
+    /// The host is about to block with nothing left to do: no further
+    /// request can join the open batch before it wakes, so waiting for
+    /// the size or timer trigger would only idle the device. Releases the
+    /// pending batch, if any, and clears its deadline (a later
+    /// [`expire`](Self::expire) at that deadline is a stale timer). Takes
+    /// no clock: the trigger is the host's observation, not a function of
+    /// time.
+    pub fn idle(&mut self) -> Option<Vec<T>> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        self.stats.flushes_by_idle += 1;
+        Some(self.release())
     }
 
     /// Flushes whatever is pending immediately (e.g. on shutdown).
@@ -180,10 +159,8 @@ impl<T> GroupCommitter<T> {
         if self.pending.is_empty() {
             return None;
         }
-        self.stats.flushes += 1;
         self.stats.flushes_by_timer += 1;
-        self.deadline = None;
-        Some(std::mem::take(&mut self.pending))
+        Some(self.release())
     }
 }
 
@@ -340,62 +317,41 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_flushes_solo_when_arrivals_are_sparse() {
-        // A fast device (flush ≈ 3 µs) with forces arriving every 1000 µs:
-        // waiting max_wait for company is pure latency. Every force must
-        // flush immediately.
-        let mut gc = GroupCommitter::new(cfg(4, 5_000).with_adaptive());
-        for i in 0..10u64 {
-            let now = SimTime(i * 1_000);
-            match gc.request(now, i) {
-                FlushDecision::FlushNow(t) => assert_eq!(t, vec![i]),
-                other => panic!("sparse adaptive force must flush solo, got {other:?}"),
-            }
-            gc.note_flush_micros(3);
-        }
-        assert_eq!(gc.stats().flushes, 10);
-        assert_eq!(gc.stats().flushes_adaptive, 10);
-        assert_eq!(gc.stats().flushes_saved(), 0);
+    fn idle_with_empty_batch_is_a_noop() {
+        let mut gc = GroupCommitter::<u32>::new(cfg(10, 50));
+        assert_eq!(gc.idle(), None);
+        assert_eq!(gc.stats(), GroupStats::default());
     }
 
     #[test]
-    fn adaptive_batches_under_real_depth() {
-        // A slow device (flush ≈ 3000 µs) with forces arriving every
-        // 100 µs: after the calibrating first flush, requests batch and
-        // the size trigger takes over, exactly like the fixed policy.
-        let mut gc = GroupCommitter::new(cfg(4, 5_000).with_adaptive());
-        // First force: no flush-cost estimate yet — flushes solo and
-        // calibrates.
-        match gc.request(SimTime(0), 0u64) {
-            FlushDecision::FlushNow(t) => assert_eq!(t, vec![0]),
-            other => panic!("{other:?}"),
-        }
-        gc.note_flush_micros(3_000);
-        let mut size_flushes = 0;
-        for i in 1..=12u64 {
-            match gc.request(SimTime(i * 100), i) {
-                FlushDecision::FlushNow(t) => {
-                    assert_eq!(t.len(), 4, "size-triggered batches of 4");
-                    size_flushes += 1;
-                    gc.note_flush_micros(3_000);
-                }
-                FlushDecision::WaitUntil(_) => {}
-            }
-        }
-        assert_eq!(size_flushes, 3);
-        assert_eq!(gc.stats().flushes_adaptive, 1, "only the calibrator");
-        assert!(gc.stats().flushes_saved() >= 8);
+    fn idle_releases_the_batch_and_clears_its_deadline() {
+        let mut gc = GroupCommitter::new(cfg(10, 50));
+        gc.request(SimTime(0), 'a');
+        gc.request(SimTime(3), 'b');
+        assert_eq!(gc.idle(), Some(vec!['a', 'b']));
+        assert_eq!(gc.pending_len(), 0);
+        // The batch's own deadline is now a stale timer.
+        assert_eq!(gc.expire(SimTime(50)), None);
+        let stats = gc.stats();
+        assert_eq!((stats.flushes, stats.flushes_by_idle), (1, 1));
+        assert_eq!((stats.flushes_by_size, stats.flushes_by_timer), (0, 0));
     }
 
     #[test]
-    fn adaptive_off_preserves_fixed_policy() {
-        // Identical request streams with adaptive off must behave exactly
-        // as before: the first request of a sparse stream waits.
-        let mut gc = GroupCommitter::new(cfg(4, 5_000));
-        gc.note_flush_micros(3);
+    fn request_after_idle_flush_anchors_a_fresh_deadline() {
+        let mut gc = GroupCommitter::new(cfg(10, 50));
+        gc.request(SimTime(0), 'a');
+        assert_eq!(gc.idle(), Some(vec!['a']));
         assert_eq!(
-            gc.request(SimTime(0), 'a'),
-            FlushDecision::WaitUntil(SimTime(5_000))
+            gc.request(SimTime(30), 'b'),
+            FlushDecision::WaitUntil(SimTime(80))
+        );
+        // ... which the timer still honours on a host that stays busy.
+        assert_eq!(gc.expire(SimTime(80)), Some(vec!['b']));
+        let stats = gc.stats();
+        assert_eq!(
+            stats.flushes,
+            stats.flushes_by_size + stats.flushes_by_timer + stats.flushes_by_idle
         );
     }
 

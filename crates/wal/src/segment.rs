@@ -54,7 +54,7 @@ use std::path::{Path, PathBuf};
 use tpc_common::wire::{crc32, Encode};
 use tpc_common::{Error, Lsn, Result, TxnId};
 
-use crate::file::{frame_len, stream_to_byte, try_frame, TailState, HEADER_LEN};
+use crate::file::{stream_to_byte, try_frame, TailState, HEADER_LEN};
 use crate::log::{Durability, LogManager, LogStats, StreamId};
 use crate::record::LogRecord;
 
@@ -120,6 +120,9 @@ pub struct SegmentedLog {
     /// Logically forced appends not yet covered by a physical sync (the
     /// force queue group commit is accumulating).
     pending_forces: u64,
+    /// The frame being appended, reused across appends so the hot path
+    /// encodes once and allocates nothing.
+    scratch: Vec<u8>,
 }
 
 /// `wal-0007.seg` style name for segment `seq` (widths beyond 4 digits
@@ -297,6 +300,7 @@ impl SegmentedLog {
             },
             recovered_tail: TailState::Clean,
             pending_forces: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -427,6 +431,7 @@ impl SegmentedLog {
             seg_stats: SegmentStats::default(),
             recovered_tail: tail,
             pending_forces: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -525,31 +530,24 @@ impl SegmentedLog {
         record: LogRecord,
         durability: Durability,
     ) -> Result<Lsn> {
-        let flen = frame_len(&record) as u64;
-        if flen > self.segment_bytes {
-            return Err(Error::Log(format!(
-                "record frame of {flen} bytes exceeds segment capacity {}",
-                self.segment_bytes
-            )));
-        }
-        if self.active_off + flen > self.segment_bytes {
-            self.rotate()?;
-        }
-        let payload = record.encode_to_bytes();
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.extend_from_slice(&stream_to_byte(stream));
-        body.extend_from_slice(&payload);
-        let crc = crc32(&body);
-
-        let lsn = Lsn(self.active_base + self.active_off);
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc.to_le_bytes())?;
-        self.writer.write_all(&body)?;
-        self.active_off += flen;
+        // Encode once, straight into the frame's final layout —
+        // `len(payload) | crc(stream ‖ payload) | stream | payload` — with
+        // the two header words patched in once the payload is known.
+        let mut frame = std::mem::take(&mut self.scratch);
+        frame.clear();
+        frame.extend_from_slice(&[0; HEADER_LEN - 1]);
+        frame.extend_from_slice(&stream_to_byte(stream));
+        record.encode_append(&mut frame);
+        let payload_len = frame.len() - HEADER_LEN;
+        let crc = crc32(&frame[HEADER_LEN - 1..]);
+        frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        let written = self.write_encoded(&frame);
+        self.scratch = frame;
+        let lsn = written?;
 
         self.stats.writes += 1;
-        self.stats.bytes += payload.len() as u64;
+        self.stats.bytes += payload_len as u64;
         if durability.is_forced() {
             self.pending_forces += 1;
             self.stats.forced_writes += 1;
@@ -559,6 +557,25 @@ impl SegmentedLog {
             self.ended.insert(record.txn());
         }
         self.cache.push((lsn, stream, record));
+        Ok(lsn)
+    }
+
+    /// Puts one encoded frame into the active segment's buffer, rotating
+    /// first if it does not fit. Returns the frame's LSN.
+    fn write_encoded(&mut self, frame: &[u8]) -> Result<Lsn> {
+        let flen = frame.len() as u64;
+        if flen > self.segment_bytes {
+            return Err(Error::Log(format!(
+                "record frame of {flen} bytes exceeds segment capacity {}",
+                self.segment_bytes
+            )));
+        }
+        if self.active_off + flen > self.segment_bytes {
+            self.rotate()?;
+        }
+        let lsn = Lsn(self.active_base + self.active_off);
+        self.writer.write_all(frame)?;
+        self.active_off += flen;
         Ok(lsn)
     }
 

@@ -72,53 +72,68 @@ proptest! {
         prop_assert_eq!(&survivors, &appended[..durable_watermark]);
     }
 
-    /// Group commit conserves tickets: every request is released exactly
-    /// once, and flushes never exceed requests.
+    /// Group commit under arbitrary request / idle / expire schedules:
+    /// every ticket is released exactly once, in submission order; with
+    /// the harness firing `expire` at each returned deadline no ticket
+    /// waits longer than `max_wait`; and the three trigger counters add
+    /// up to the flushes.
     #[test]
-    #[allow(unused_assignments)]
     fn group_commit_conserves_tickets(
         batch in 1usize..8,
         wait_us in 1u64..5_000,
-        arrivals in prop::collection::vec(0u64..10_000, 1..80),
+        // (gap since the previous request, host goes idle right after it)
+        schedule in prop::collection::vec((0u64..2_000, any::<bool>()), 1..80),
     ) {
         let mut gc = GroupCommitter::new(GroupCommitConfig {
             batch_size: batch,
             max_wait: SimDuration::from_micros(wait_us),
             adaptive: false,
         });
-        let mut released: Vec<u64> = Vec::new();
-        let mut sorted = arrivals.clone();
-        sorted.sort_unstable();
+        let mut submitted_at: Vec<SimTime> = Vec::new();
+        // (ticket, released at)
+        let mut released: Vec<(u64, SimTime)> = Vec::new();
         let mut pending_deadline: Option<SimTime> = None;
-        for (ticket, at) in sorted.iter().enumerate() {
-            let now = SimTime(*at);
-            // Fire any expired deadline first, as the harness would.
-            if let Some(d) = pending_deadline {
-                if now >= d {
-                    if let Some(t) = gc.expire(d) {
-                        released.extend(t);
-                    }
-                    pending_deadline = None;
-                }
+        let mut now = SimTime(0);
+        for (gap, idle_after) in &schedule {
+            now = SimTime(now.0 + gap);
+            // Fire an expired deadline first, at its own instant, as a
+            // timer-driven harness would.
+            if let Some(d) = pending_deadline.filter(|d| now >= *d) {
+                released.extend(gc.expire(d).into_iter().flatten().map(|t| (t, d)));
             }
-            match gc.request(now, ticket as u64) {
+            let ticket = submitted_at.len() as u64;
+            submitted_at.push(now);
+            match gc.request(now, ticket) {
                 FlushDecision::FlushNow(t) => {
-                    released.extend(t);
+                    released.extend(t.into_iter().map(|t| (t, now)));
                     pending_deadline = None;
                 }
                 FlushDecision::WaitUntil(d) => pending_deadline = Some(d),
             }
+            if *idle_after {
+                // The stale deadline is deliberately left armed: `expire`
+                // must ignore it (or find a younger batch not yet due).
+                released.extend(gc.idle().into_iter().flatten().map(|t| (t, now)));
+            }
         }
-        if let Some(t) = gc.drain() {
-            released.extend(t);
+        if let Some(d) = pending_deadline {
+            released.extend(gc.expire(d).into_iter().flatten().map(|t| (t, d)));
         }
-        released.sort_unstable();
-        let expected: Vec<u64> = (0..sorted.len() as u64).collect();
-        prop_assert_eq!(released, expected);
+        prop_assert_eq!(gc.pending_len(), 0, "the last deadline releases the last batch");
+        let order: Vec<u64> = released.iter().map(|(t, _)| *t).collect();
+        let expected: Vec<u64> = (0..schedule.len() as u64).collect();
+        prop_assert_eq!(order, expected, "exactly once, in submission order");
+        for (ticket, at) in &released {
+            let waited = at.0 - submitted_at[*ticket as usize].0;
+            prop_assert!(waited <= wait_us, "ticket {} waited {} us", ticket, waited);
+        }
         let stats = gc.stats();
-        prop_assert_eq!(stats.requests, sorted.len() as u64);
+        prop_assert_eq!(stats.requests, schedule.len() as u64);
         prop_assert!(stats.flushes <= stats.requests);
-        prop_assert_eq!(stats.flushes_by_size + stats.flushes_by_timer, stats.flushes);
+        prop_assert_eq!(
+            stats.flushes_by_size + stats.flushes_by_timer + stats.flushes_by_idle,
+            stats.flushes
+        );
     }
 
     /// Log record encode/decode survives arbitrary key/value payloads.
