@@ -13,12 +13,14 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use tpc_common::wire::Decode;
 use tpc_common::{BufferPool, NodeId, PooledBuf};
 use tpc_core::messages::{Frame, ProtocolMsg};
 
-use crate::node::{Transport, TransportHealth};
+use crate::node::{Inbound, Transport, TransportCounter, TransportHealth};
 
 /// Whether an encoded frame carries application work (conversation
 /// traffic, spared by default — see [`FaultPlan::fault_work_frames`]).
@@ -251,7 +253,7 @@ impl<T: Transport> Transport for FaultyWire<T> {
         self.faulty_send(to, Some(lane), bytes);
     }
 
-    fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
+    fn counters(&self) -> Vec<TransportCounter> {
         self.inner.counters()
     }
 
@@ -265,6 +267,18 @@ impl<T: Transport> Transport for FaultyWire<T> {
 
     fn backlog(&self) -> u64 {
         self.inner.backlog()
+    }
+
+    fn recv_timeout(
+        &mut self,
+        rx: &Receiver<Inbound>,
+        timeout: Duration,
+    ) -> Result<Inbound, RecvTimeoutError> {
+        self.inner.recv_timeout(rx, timeout)
+    }
+
+    fn pending_frames(&self) -> usize {
+        self.inner.pending_frames()
     }
 }
 

@@ -103,7 +103,7 @@ pub use fault::{FaultPlan, FaultStats, FaultyWire};
 pub use http::MetricsServer;
 pub use node::{
     lane_of, AckSlotStats, AppCmd, CommitResult, Inbound, IoErrorPolicy, LiveNodeConfig,
-    LogBackend, NodeSummary, Transport, WalHealth,
+    LogBackend, NodeSummary, Transport, TransportCounter, WalHealth,
 };
 pub use signal::ClusterSignal;
 pub use tpc_wal::{StorageFaultPlan, StorageFaultStats};

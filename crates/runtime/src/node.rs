@@ -184,6 +184,10 @@ impl TransportHealth {
     }
 }
 
+/// One transport counter series: `(metric_name, help, labels, value)`,
+/// where `labels` holds label pairs beyond `node` (`""` for none).
+pub type TransportCounter = (&'static str, &'static str, &'static str, u64);
+
 /// How frames leave a node.
 pub trait Transport: Send + 'static {
     /// Delivers an encoded frame to `to` (best effort). The buffer is
@@ -199,10 +203,9 @@ pub trait Transport: Send + 'static {
         self.send(to, bytes);
     }
 
-    /// Transport-level counters for the metrics endpoint, as
-    /// `(metric_name, help, value)` triples. Transports without
-    /// interesting state (in-process channels) keep the default.
-    fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
+    /// Transport-level counters for the metrics endpoint. Transports
+    /// without interesting state (in-process channels) keep the default.
+    fn counters(&self) -> Vec<TransportCounter> {
         Vec::new()
     }
 
@@ -226,6 +229,25 @@ pub trait Transport: Send + 'static {
     fn backlog(&self) -> u64 {
         0
     }
+
+    /// The lane's one blocking point: the next inbound message, from
+    /// `rx` or from wherever this transport receives peer frames itself,
+    /// waiting at most `timeout`. Transports whose frames arrive through
+    /// `rx` keep the default.
+    fn recv_timeout(
+        &mut self,
+        rx: &Receiver<Inbound>,
+        timeout: Duration,
+    ) -> std::result::Result<Inbound, RecvTimeoutError> {
+        rx.recv_timeout(timeout)
+    }
+
+    /// Peer frames this transport has already received but not yet
+    /// returned from [`Transport::recv_timeout`]: with `rx`'s queue, the
+    /// lane's inbox.
+    fn pending_frames(&self) -> usize {
+        0
+    }
 }
 
 impl Transport for Box<dyn Transport> {
@@ -237,7 +259,7 @@ impl Transport for Box<dyn Transport> {
         (**self).send_to_lane(to, lane, bytes)
     }
 
-    fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
+    fn counters(&self) -> Vec<TransportCounter> {
         (**self).counters()
     }
 
@@ -251,6 +273,18 @@ impl Transport for Box<dyn Transport> {
 
     fn backlog(&self) -> u64 {
         (**self).backlog()
+    }
+
+    fn recv_timeout(
+        &mut self,
+        rx: &Receiver<Inbound>,
+        timeout: Duration,
+    ) -> std::result::Result<Inbound, RecvTimeoutError> {
+        (**self).recv_timeout(rx, timeout)
+    }
+
+    fn pending_frames(&self) -> usize {
+        (**self).pending_frames()
     }
 }
 
@@ -731,9 +765,9 @@ pub struct NodeSummary {
     /// WAL-health counters: log I/O errors, fsync retries, degraded
     /// read-only mode and its explicit rejections.
     pub wal: WalHealth,
-    /// Transport-level counters (`(name, help, value)`), e.g. TCP send
-    /// retries; empty for in-process transports.
-    pub transport: Vec<(&'static str, &'static str, u64)>,
+    /// Transport-level counters, e.g. TCP send retries; empty for
+    /// in-process transports.
+    pub transport: Vec<TransportCounter>,
     /// Normalized transport degradation (retries / reconnects / dropped
     /// frames), so a struggling peer link shows up in the same place as
     /// WAL health — zeros for in-process transports.
@@ -2096,7 +2130,7 @@ impl<T: Transport> NodeWorker<T> {
             // No group-commit term: a lane about to block has already
             // flushed its open batch (`flush_group_if_due`).
             debug_assert!(
-                !self.rx.is_empty()
+                !self.inbox_is_empty()
                     || self
                         .host
                         .group
@@ -2114,7 +2148,7 @@ impl<T: Transport> NodeWorker<T> {
                 timeout = timeout.min(dl.saturating_duration_since(Instant::now()));
             }
             let mut progressed = true;
-            match self.rx.recv_timeout(timeout) {
+            match self.host.transport.recv_timeout(&self.rx, timeout) {
                 Ok(Inbound::Frame { from, bytes }) => {
                     self.on_frame(from, &bytes);
                     self.frames_seen += 1;
@@ -2176,6 +2210,12 @@ impl<T: Transport> NodeWorker<T> {
         }
     }
 
+    /// Nothing waits for this lane: its channel is empty and the
+    /// transport holds no peer frame it already received.
+    fn inbox_is_empty(&self) -> bool {
+        self.host.transport.pending_frames() == 0 && self.rx.is_empty()
+    }
+
     /// Samples queue-depth gauges into the windowed timeline (throttled
     /// to at most once per 5 ms): this lane's inbox, the group-commit
     /// batch occupancy and force-queue depth, the transport's outbound
@@ -2191,7 +2231,8 @@ impl<T: Transport> NodeWorker<T> {
         }
         self.next_gauge_sample = wall + Duration::from_millis(5);
         let now = self.host.now();
-        tl.gauge(TimelineGauge::LaneInbox, self.rx.len() as u64, now);
+        let inbox = self.rx.len() + self.host.transport.pending_frames();
+        tl.gauge(TimelineGauge::LaneInbox, inbox as u64, now);
         tl.gauge(
             TimelineGauge::ForceQueue,
             self.host.log.pending_forces(),
@@ -2288,7 +2329,7 @@ impl<T: Transport> NodeWorker<T> {
         while self.host.group.as_ref().is_some_and(open) {
             // Idle first, so a flush booked to the timer means the lane
             // was busy when the deadline passed.
-            let idle = self.rx.is_empty();
+            let idle = self.inbox_is_empty();
             let took = self.flush_group(|gc, now| if idle { gc.idle() } else { gc.expire(now) });
             if !took {
                 break;
@@ -2348,7 +2389,7 @@ impl<T: Transport> NodeWorker<T> {
     /// may never come. A zero linger (the default without `long_locks`)
     /// flushes at the first idle pass — the historical behaviour.
     fn flush_acks_if_idle(&mut self) {
-        if !self.rx.is_empty() {
+        if !self.inbox_is_empty() {
             return;
         }
         let slot_owed = self

@@ -220,7 +220,9 @@ pub fn prometheus_text(summaries: &[NodeSummary]) -> String {
                     s.net.dropped_frames,
                 ),
             ]);
-            counters.extend(s.transport.iter().copied());
+            let (plain, tagged): (Vec<_>, Vec<_>) =
+                s.transport.iter().partition(|(_, _, labels, _)| labels.is_empty());
+            counters.extend(plain.into_iter().map(|&(name, help, _, v)| (name, help, v)));
             let gauges = vec![
                 (
                     "tpc_wal_degraded",
@@ -260,6 +262,11 @@ pub fn prometheus_text(summaries: &[NodeSummary]) -> String {
                 )
             })
             .collect();
+            labeled.extend(
+                tagged
+                    .into_iter()
+                    .map(|&(name, help, labels, v)| (name, help, labels.to_string(), v)),
+            );
             for (labels, ls) in stripe_rows(&s.lock_stripes) {
                 labeled.push((
                     "tpc_lock_waits_total",

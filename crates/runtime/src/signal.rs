@@ -8,7 +8,12 @@
 //! group-commit batch, exited); waiters block on the condvar and re-check
 //! their predicate only when something actually happened — with a capped
 //! wait so a lost wakeup degrades to slow polling, never to a hang.
+//!
+//! Every lane bumps on every loop pass that made progress, so a bump is
+//! one atomic add and one atomic load while nobody waits: the mutex and
+//! the `notify_all` futex call are paid only when a waiter registered.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -17,9 +22,18 @@ use std::time::{Duration, Instant};
 const MAX_WAIT_SLICE: Duration = Duration::from_millis(50);
 
 /// A monotonically-bumped generation counter with a condvar.
+///
+/// No lost wakeup: a waiter registers (under `lock`) before it reads the
+/// generation, a bumper advances the generation before it reads the
+/// waiter count, both `SeqCst`. So either the bumper sees the waiter and
+/// notifies under `lock` — which it can only take once the waiter sleeps
+/// on the condvar — or the waiter sees the new generation and does not
+/// sleep.
 #[derive(Debug, Default)]
 pub struct ClusterSignal {
-    gen: Mutex<u64>,
+    gen: AtomicU64,
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
@@ -32,37 +46,55 @@ impl ClusterSignal {
     /// Records that cluster-observable state may have changed and wakes
     /// every waiter.
     pub fn bump(&self) {
-        let mut gen = self.gen.lock().unwrap_or_else(|e| e.into_inner());
-        *gen += 1;
-        drop(gen);
-        self.cv.notify_all();
+        self.gen.fetch_add(1, SeqCst);
+        if self.waiters.load(SeqCst) > 0 {
+            drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
+            self.cv.notify_all();
+        }
     }
 
     /// The current generation (pair with [`ClusterSignal::wait_past`]).
     pub fn generation(&self) -> u64 {
-        *self.gen.lock().unwrap_or_else(|e| e.into_inner())
+        self.gen.load(SeqCst)
     }
 
     /// Blocks until the generation exceeds `seen` or `deadline` passes;
     /// returns the generation observed on wakeup.
     pub fn wait_past(&self, seen: u64, deadline: Instant) -> u64 {
-        let mut gen = self.gen.lock().unwrap_or_else(|e| e.into_inner());
-        while *gen <= seen {
+        self.wait_past_sliced(seen, deadline, MAX_WAIT_SLICE, || {})
+    }
+
+    /// [`ClusterSignal::wait_past`] with the condvar wait capped at
+    /// `max_slice`; `checked` runs after each generation check, right
+    /// before the waiter sleeps (a seam for the lost-wakeup test).
+    fn wait_past_sliced(
+        &self,
+        seen: u64,
+        deadline: Instant,
+        max_slice: Duration,
+        mut checked: impl FnMut(),
+    ) -> u64 {
+        let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_add(1, SeqCst);
+        while self.gen.load(SeqCst) <= seen {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let slice = (deadline - now).min(MAX_WAIT_SLICE);
-            let (g, _timeout) = self
+            checked();
+            let slice = (deadline - now).min(max_slice);
+            guard = self
                 .cv
-                .wait_timeout(gen, slice)
-                .unwrap_or_else(|e| e.into_inner());
-            gen = g;
+                .wait_timeout(guard, slice)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
             if Instant::now() >= deadline {
                 break;
             }
         }
-        *gen
+        self.waiters.fetch_sub(1, SeqCst);
+        drop(guard);
+        self.gen.load(SeqCst)
     }
 
     /// Runs `predicate` each time the cluster makes progress (and at
@@ -134,6 +166,43 @@ mod tests {
         });
         assert!(got.is_some());
         assert!(start.elapsed() < Duration::from_secs(2));
+    }
+
+    #[test]
+    fn bump_between_check_and_wait_is_not_lost() {
+        // The bump lands after the waiter read the generation and before
+        // it sleeps. With a 10 s slice only the notify can wake it early.
+        let sig = Arc::new(ClusterSignal::new());
+        let start = Instant::now();
+        let mut bumper = None;
+        let g = sig.wait_past_sliced(
+            0,
+            start + Duration::from_secs(10),
+            Duration::from_secs(10),
+            || {
+                if bumper.is_none() {
+                    let s2 = Arc::clone(&sig);
+                    bumper = Some(std::thread::spawn(move || s2.bump()));
+                    // The bump has advanced the generation and is now
+                    // blocked on the lock this waiter holds.
+                    while sig.generation() == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            },
+        );
+        assert_eq!(g, 1);
+        assert!(start.elapsed() < Duration::from_secs(5), "wakeup was lost");
+        bumper.expect("hook ran").join().unwrap();
+    }
+
+    #[test]
+    fn bump_without_waiters_takes_no_lock() {
+        let sig = ClusterSignal::new();
+        let held = sig.lock.lock().unwrap();
+        sig.bump(); // would deadlock if it took the lock
+        drop(held);
+        assert_eq!(sig.generation(), 1);
     }
 
     #[test]

@@ -1,55 +1,88 @@
 //! TCP transport: the same node workers over loopback sockets.
 //!
 //! Frame format on the wire: `u32 len (LE) | u32 sender (LE) | bundle
-//! bytes`. One outbound connection per (src, dst) pair, established
-//! lazily; one acceptor thread per node fans incoming frames into the
-//! node's inbound channel.
+//! bytes`. One outbound connection per (src, dst) pair; one acceptor
+//! thread per node. Frame boundaries are carried by the length prefix,
+//! never by write or packet boundaries.
 //!
-//! Sends are asynchronous and coalesced: [`TcpTransport::send`] enqueues
-//! the frame to a per-peer sender thread, which drains everything queued
-//! behind it and hands the whole run of frames to the kernel in a single
-//! `write_all` (bounded by [`MAX_COALESCE_BYTES`] / frames). Under a
-//! concurrent commit workload this collapses the per-message syscall
-//! storm — decision and ack frames to the same peer ride one write —
-//! while `TCP_NODELAY` stays on, so an isolated frame still leaves
-//! immediately instead of waiting on Nagle. Frame boundaries are carried
-//! by the length prefix, never by write/packet boundaries.
+//! **The lane does its own socket I/O.** On the commit path no other
+//! thread touches a frame:
 //!
-//! The transport is hardened for chaos runs: connection and write
-//! failures never panic, and backoff sleeps happen on the sender thread,
-//! not in the node worker's protocol loop. A failed send reconnects with
-//! capped exponential backoff plus seeded jitter, bounded by
-//! [`RetryPolicy::max_attempts`]; when retries are exhausted the sender
-//! reports [`Inbound::PartnerDown`] to its own node so the engine aborts
-//! or re-drives the affected transactions instead of wedging.
+//! * *Send.* [`TcpTransport::send`] writes each frame (`len | sender |
+//!   payload`, one `writev`) straight to the peer's non-blocking socket
+//!   under a per-peer lock. The first frame to a peer connects inline,
+//!   with one attempt. `TCP_NODELAY` is on, so the frame leaves at once.
+//! * *Receive.* [`TcpTransport::recv_timeout`] is the lane's one blocking
+//!   point: one `ppoll(2)` over a wake-up socket and the node's inbound
+//!   connections. A message on the node's channel (an application
+//!   command, a failure notice) wakes the lane through the channel's
+//!   waker, which writes to the wake-up socket. Bytes are reassembled
+//!   per connection into pooled frame buffers.
+//!
+//! **The sender thread is the slow path.** A frame goes to a lazily
+//! spawned per-peer sender thread only when frames are already queued
+//! for that peer (a queued-frame count under the same lock keeps
+//! per-peer FIFO across the two paths), the inline connect failed, or
+//! the write returned `WouldBlock` or an error — then the frame, or its
+//! unwritten tail, is queued. The sender thread owns everything that
+//! waits: it coalesces queued runs into single writes (bounded by
+//! [`MAX_COALESCE_BYTES`] / frames), waits for room in a full socket
+//! buffer, and on a failed connect or write reconnects with capped
+//! exponential backoff plus seeded jitter, bounded by
+//! [`RetryPolicy::max_attempts`]; when retries are exhausted it drops
+//! the run and reports [`Inbound::PartnerDown`] to its own node, so the
+//! engine aborts or re-drives the affected transactions instead of
+//! wedging. Connection and write failures never panic.
+//!
+//! **Bytes for a down node.** Inbound connections belong to the node's
+//! inbound hub, not to the lane: a crashed worker's transport hands
+//! them back, so peers keep writing into them while the node is down
+//! (the listener stays bound, like a crashed process's port). At
+//! restart the hub discards whatever they hold, one whole frame at a
+//! time — a frame still arriving is dropped once complete — so the
+//! stream framing stays intact and nothing sent to the dead incarnation
+//! reaches the next one.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{
+    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, Waker,
+};
 use tpc_common::{BufferPool, Error, NodeId, Op, PooledBuf, Result, TxnId};
 
 use crate::cluster::recv_reply;
 use crate::fault::{FaultPlan, FaultyWire};
 use crate::node::{
     AppCmd, CommitResult, Inbound, LiveNodeConfig, NodeSummary, NodeWorker, Transport,
-    TransportHealth,
+    TransportCounter, TransportHealth,
 };
 use crate::signal::ClusterSignal;
 use crate::workload::{run_closed_loop, WorkloadReport, WorkloadSpec};
 
-/// Cap on bytes coalesced into one `write_all` (keeps a slow peer from
-/// accumulating an unbounded batch in memory before the first byte
-/// moves).
+/// Cap on bytes the sender thread coalesces into one write (keeps a
+/// slow peer from accumulating an unbounded batch in memory before the
+/// first byte moves).
 pub const MAX_COALESCE_BYTES: usize = 256 * 1024;
 
-/// Cap on frames coalesced into one `write_all`.
+/// Cap on frames the sender thread coalesces into one write.
 pub const MAX_COALESCE_FRAMES: u64 = 128;
+
+/// `len | sender`.
+const HEADER_BYTES: usize = 8;
+
+/// A length header above this is not a frame: the connection is dropped.
+const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
+
+/// Initial per-connection reassembly buffer (grows for a larger frame).
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// How long TCP cluster-level blocking requests wait before reporting
 /// [`Error::Timeout`].
@@ -97,16 +130,19 @@ impl RetryPolicy {
     }
 }
 
-/// Counters for the per-peer sender threads of one [`TcpTransport`].
-/// `writes < frames` is the coalescing win: each `write_all` covered
-/// `frames / writes` frames on average.
+/// Outbound counters of one [`TcpTransport`]. `direct` against `queued`
+/// says how often the lane's own write was enough; `queued / writes` is
+/// the sender threads' coalescing.
 #[derive(Debug, Default)]
 pub struct TcpSendStats {
-    /// Frames handed to the kernel (after coalescing, before any drop).
-    pub frames: AtomicU64,
-    /// `write_all` calls — syscall batches, each covering ≥1 frame.
+    /// Frames the lane wrote itself, whole, in one write.
+    pub direct: AtomicU64,
+    /// Frames (or unwritten frame tails) a sender thread wrote.
+    pub queued: AtomicU64,
+    /// Sender-thread writes — syscall batches, each covering ≥1 frame.
     pub writes: AtomicU64,
-    /// Total bytes written, including the 8-byte frame headers.
+    /// Total bytes written on either path, including the 8-byte frame
+    /// headers.
     pub bytes: AtomicU64,
     /// Frames dropped after retry exhaustion (peer unreachable).
     pub dropped: AtomicU64,
@@ -116,84 +152,423 @@ pub struct TcpSendStats {
     /// Successful re-connects after a previously-established connection
     /// was lost.
     pub reconnects: AtomicU64,
-    /// Frames enqueued to sender threads and not yet written or dropped
-    /// — the outbound backlog gauge. Grows when a peer link (or the
+    /// Frames handed to sender threads and not yet written or dropped —
+    /// the outbound backlog gauge. Grows when a peer link (or the
     /// kernel) is slower than the protocol produces frames.
-    pub queued: AtomicU64,
+    pub backlog: AtomicU64,
 }
 
-/// Asynchronous TCP sender: frames are queued to one sender thread per
-/// peer, which coalesces queued runs into single writes and owns all
-/// reconnect/backoff waiting.
+/// Locks `m`, recovering the data if a holder panicked: the transport
+/// keeps no invariant a panic could leave half-updated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A frame on its way to a sender thread: the payload and how many
+/// bytes of `len | sender | payload` the lane already wrote to the
+/// current connection (non-zero only for a frame cut short by a full
+/// socket buffer, which is then the first frame its sender thread sees).
+struct Outgoing {
+    payload: PooledBuf,
+    sent: usize,
+}
+
+/// One peer link, shared by the lane (fast path) and the peer's sender
+/// thread (slow path).
+#[derive(Default)]
+struct PeerLink {
+    state: Mutex<LinkState>,
+}
+
+#[derive(Default)]
+struct LinkState {
+    conn: Option<Arc<TcpStream>>,
+    /// Frames handed to the sender thread and not yet written or
+    /// dropped. While non-zero the lane queues behind them, and only the
+    /// sender thread writes or replaces `conn`.
+    queued: u64,
+    /// The lane made its one inline connect attempt.
+    tried: bool,
+    /// A connection was established at some point: a later successful
+    /// connect counts as a reconnect.
+    connected_once: bool,
+    /// The sender thread's queue, spawned on first use; closed when the
+    /// transport drops.
+    tx: Option<Sender<Outgoing>>,
+}
+
+/// A node's inbound side, owned by the node rather than by a lane
+/// incarnation. The acceptor hands it accepted streams; the lane's
+/// [`TcpTransport`] adopts them; when the worker dies, its transport
+/// hands the connections back with their partly received frames, so
+/// they survive the crash, and [`TcpCluster::restart`] discards what
+/// they hold.
+struct InboundHub {
+    /// The node's frame-buffer pool: its transport encodes into it,
+    /// sender threads recycle into it, inbound frames are assembled
+    /// from it. A restart keeps it, so warmed capacity survives.
+    pool: BufferPool,
+    /// Streams accepted and not yet adopted.
+    accepted: Mutex<Vec<TcpStream>>,
+    /// Connections while no transport holds them (the node is down).
+    idle: Mutex<Vec<InboundConn>>,
+    /// Readable whenever a parked lane should look at its channel (or
+    /// at a newly accepted stream).
+    wake_rx: UnixStream,
+    wake_tx: UnixStream,
+}
+
+impl InboundHub {
+    /// A hub with an empty pool and no connections.
+    fn new() -> io::Result<Arc<Self>> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        Ok(Arc::new(InboundHub {
+            pool: BufferPool::new(),
+            accepted: Mutex::default(),
+            idle: Mutex::default(),
+            wake_rx,
+            wake_tx,
+        }))
+    }
+
+    /// Interrupts a lane parked in `recv_timeout`. A full wake-up socket
+    /// already holds a wake-up, so a failed write loses nothing.
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// The waker to install on the node's inbound channel
+    /// ([`Receiver::set_waker`]).
+    fn waker(self: &Arc<Self>) -> Waker {
+        let hub = Arc::clone(self);
+        Arc::new(move || hub.wake())
+    }
+
+    /// Serves `listener`, handing each accepted stream to the hub, until
+    /// the hub is gone. Holding it weakly lets the node's connections
+    /// close with its cluster.
+    fn accept_loop(hub: Weak<InboundHub>, listener: TcpListener) {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            let Some(hub) = hub.upgrade() else { break };
+            // A stream that cannot go non-blocking is dropped: its peer
+            // reconnects and retries.
+            if stream.set_nonblocking(true).is_ok() {
+                lock(&hub.accepted).push(stream);
+                hub.wake();
+            }
+        }
+    }
+
+    fn adopt_accepted(&self, into: &mut Vec<InboundConn>) {
+        into.extend(lock(&self.accepted).drain(..).map(InboundConn::new));
+    }
+
+    /// At restart: drops every whole frame the node's connections hold,
+    /// and marks a frame still arriving to be dropped once complete.
+    fn discard_pending(&self) {
+        let mut idle = lock(&self.idle);
+        self.adopt_accepted(&mut idle);
+        idle.retain_mut(|c| c.discard().is_ok());
+    }
+}
+
+/// One accepted connection and its reassembly state.
+struct InboundConn {
+    stream: TcpStream,
+    /// `buf[start..end]` holds bytes read but not yet parsed: at most a
+    /// partial frame once parsing stops.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The next complete frame began before a restart: drop it.
+    drop_next: bool,
+}
+
+impl InboundConn {
+    fn new(stream: TcpStream) -> Self {
+        InboundConn {
+            stream,
+            buf: vec![0; READ_BUF_BYTES],
+            start: 0,
+            end: 0,
+            drop_next: false,
+        }
+    }
+
+    /// One non-blocking read into the buffer; returns the bytes read (0
+    /// when nothing is waiting). End of stream is an error: the caller
+    /// drops the connection.
+    fn fill(&mut self) -> io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.end == self.buf.len() {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            } else {
+                // One frame fills the buffer (its header passed the
+                // MAX_FRAME_BYTES check): grow.
+                self.buf.resize(self.buf.len() * 2, 0);
+            }
+        }
+        loop {
+            return match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.end += n;
+                    Ok(n)
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(0),
+                Err(e) => Err(e),
+            };
+        }
+    }
+
+    /// Hands every complete frame in the buffer to `deliver`, in order.
+    /// A length header above [`MAX_FRAME_BYTES`] is an error.
+    fn parse(&mut self, mut deliver: impl FnMut(NodeId, &[u8])) -> io::Result<()> {
+        loop {
+            let avail = &self.buf[self.start..self.end];
+            if avail.len() < HEADER_BYTES {
+                return Ok(());
+            }
+            let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
+            if len > MAX_FRAME_BYTES {
+                return Err(io::ErrorKind::InvalidData.into());
+            }
+            let Some(body) = avail.get(HEADER_BYTES..HEADER_BYTES + len) else {
+                return Ok(());
+            };
+            if !std::mem::take(&mut self.drop_next) {
+                let from = NodeId(u32::from_le_bytes([avail[4], avail[5], avail[6], avail[7]]));
+                deliver(from, body);
+            }
+            self.start += HEADER_BYTES + len;
+        }
+    }
+
+    /// One read, then every complete frame into `out` as a pooled
+    /// buffer. Reading once per readiness report is enough: the poll is
+    /// level-triggered, so bytes left behind wake the next one at once.
+    fn read_frames(&mut self, pool: &BufferPool, out: &mut VecDeque<Inbound>) -> io::Result<()> {
+        self.fill()?;
+        self.parse(|from, body| {
+            let mut bytes = pool.checkout();
+            bytes.extend_from_slice(body);
+            out.push_back(Inbound::Frame { from, bytes });
+        })
+    }
+
+    /// Reads everything waiting and drops it frame by frame (see
+    /// [`InboundHub::discard_pending`]).
+    fn discard(&mut self) -> io::Result<()> {
+        loop {
+            let n = self.fill()?;
+            self.parse(|_, _| {})?;
+            if n == 0 {
+                break;
+            }
+        }
+        self.drop_next = self.start != self.end;
+        Ok(())
+    }
+}
+
+/// The TCP transport of one node. The lane writes and reads its sockets
+/// itself; per-peer sender threads take only what the lane could not
+/// write at once (see the module docs).
 pub struct TcpTransport {
     me: NodeId,
     addrs: Vec<SocketAddr>,
     policy: RetryPolicy,
     /// The owning node's inbound channel, for failure notifications.
     self_tx: Sender<Inbound>,
-    /// Lazily-spawned per-peer outbound queues; dropping the transport
-    /// closes them, and each sender thread drains what is already queued
-    /// and exits. Queued frames are pooled payloads — the 8-byte wire
-    /// header is written by the sender thread straight into its pooled
-    /// coalescing batch, so the enqueue path never copies or allocates.
-    peers: HashMap<NodeId, Sender<PooledBuf>>,
+    /// Per-peer links, indexed by node, created on the first frame.
+    links: Vec<Option<Arc<PeerLink>>>,
     stats: Arc<TcpSendStats>,
-    /// Shared buffer pool: the node encodes into it, sender threads
-    /// recycle payloads and batch buffers back into it, and the node's
-    /// reader threads assemble inbound frames from it.
+    /// The node's pool (from its hub): outbound encodes, sender batches
+    /// and inbound frames all recycle through it.
     pool: BufferPool,
+    hub: Arc<InboundHub>,
+    /// The node's inbound connections while this transport runs.
+    conns: Vec<InboundConn>,
+    /// Messages received and not yet returned by `recv_timeout`: peer
+    /// frames, and a failure notice held behind them.
+    ready: VecDeque<Inbound>,
 }
 
 impl TcpTransport {
+    /// The transport of node `me`, whose peers listen at `addrs`; it
+    /// reports failures to `self_tx` and takes over the node's inbound
+    /// connections from `hub` (handing them back when dropped).
     fn new(
         me: NodeId,
         addrs: Vec<SocketAddr>,
         policy: RetryPolicy,
         self_tx: Sender<Inbound>,
-        pool: BufferPool,
+        hub: Arc<InboundHub>,
     ) -> Self {
+        let conns = std::mem::take(&mut *lock(&hub.idle));
         TcpTransport {
             me,
+            links: (0..addrs.len()).map(|_| None).collect(),
             addrs,
             policy,
             self_tx,
-            peers: HashMap::new(),
             stats: Arc::new(TcpSendStats::default()),
-            pool,
+            pool: hub.pool.clone(),
+            hub,
+            conns,
+            ready: VecDeque::new(),
         }
     }
 
-    /// Shared counters for this transport's sender threads.
+    /// Shared outbound counters of this transport.
     pub fn stats(&self) -> Arc<TcpSendStats> {
         Arc::clone(&self.stats)
     }
 
-    fn peer_queue(&mut self, to: NodeId) -> Option<&Sender<PooledBuf>> {
-        if !self.peers.contains_key(&to) {
-            let addr = *self.addrs.get(to.index())?;
-            let (tx, rx) = unbounded::<PooledBuf>();
-            let policy = self.policy.clone();
-            let self_tx = self.self_tx.clone();
-            let stats = Arc::clone(&self.stats);
-            let pool = self.pool.clone();
-            let me = self.me;
-            std::thread::Builder::new()
-                .name(format!("tpc-tcp-send-{}-{}", me.0, to.0))
-                .spawn(move || peer_sender(me, to, addr, policy, rx, self_tx, stats, pool))
-                .ok()?;
-            self.peers.insert(to, tx);
+    /// Hands `out` to the link's sender thread (spawning it on first
+    /// use), behind everything already queued there.
+    fn enqueue(&self, to: NodeId, link: &Arc<PeerLink>, st: &mut LinkState, out: Outgoing) {
+        if st.tx.is_none() {
+            let (tx, rx) = unbounded();
+            let sender = PeerSender {
+                me: self.me,
+                to,
+                addr: self.addrs[to.index()],
+                policy: self.policy.clone(),
+                link: Arc::clone(link),
+                self_tx: self.self_tx.clone(),
+                stats: Arc::clone(&self.stats),
+                pool: self.pool.clone(),
+            };
+            let spawned = std::thread::Builder::new()
+                .name(format!("tpc-tcp-send-{}-{}", self.me.0, to.0))
+                .spawn(move || sender.run(rx));
+            if spawned.is_err() {
+                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                if out.sent > 0 {
+                    // The peer holds a torn frame: only a fresh
+                    // connection restores the framing.
+                    st.conn = None;
+                }
+                return;
+            }
+            st.tx = Some(tx);
         }
-        self.peers.get(&to)
+        if st.tx.as_ref().is_some_and(|tx| tx.send(out).is_ok()) {
+            st.queued += 1;
+            self.stats.backlog.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Reads whatever the node's connections (and wake-up socket) have,
+    /// waiting at most `timeout` for something to arrive. Peer frames
+    /// land in `ready`; a closed, failed or garbled connection is
+    /// dropped.
+    fn poll_sockets(&mut self, timeout: Duration) {
+        self.hub.adopt_accepted(&mut self.conns);
+        let polled = {
+            let mut fds = Vec::with_capacity(1 + self.conns.len());
+            fds.push(self.hub.wake_rx.as_fd());
+            fds.extend(self.conns.iter().map(|c| c.stream.as_fd()));
+            polling::poll_readable(&fds, timeout)
+        };
+        let Ok(readiness) = polled else {
+            // Cannot happen with valid descriptors; never spin on it.
+            std::thread::sleep(timeout.min(Duration::from_millis(1)));
+            return;
+        };
+        if readiness.is_ready(0) {
+            let mut sink = [0u8; 64];
+            while matches!((&self.hub.wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
+        }
+        for i in (0..self.conns.len()).rev() {
+            if readiness.is_ready(i + 1)
+                && self.conns[i]
+                    .read_frames(&self.pool, &mut self.ready)
+                    .is_err()
+            {
+                self.conns.swap_remove(i);
+            }
+        }
     }
 }
 
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        // Closing the queues lets each sender thread write what is
+        // already queued and exit.
+        for link in self.links.iter().flatten() {
+            lock(&link.state).tx = None;
+        }
+        // The connections belong to the node: they outlive this lane.
+        lock(&self.hub.idle).append(&mut self.conns);
+    }
+}
+
+/// The frame header: `len | sender`, little-endian.
+fn frame_header(me: NodeId, len: usize) -> [u8; HEADER_BYTES] {
+    let mut h = [0u8; HEADER_BYTES];
+    h[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    h[4..].copy_from_slice(&me.0.to_le_bytes());
+    h
+}
+
+/// Connects to a peer: `TCP_NODELAY`, non-blocking (the lane must never
+/// wait on a write; the sender thread waits with `poll`).
+fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
 impl Transport for TcpTransport {
-    fn send(&mut self, to: NodeId, bytes: PooledBuf) {
-        if let Some(tx) = self.peer_queue(to) {
-            if tx.send(bytes).is_ok() {
-                self.stats.queued.fetch_add(1, Ordering::Relaxed);
+    fn send(&mut self, to: NodeId, payload: PooledBuf) {
+        let Some(addr) = self.addrs.get(to.index()).copied() else {
+            return;
+        };
+        let link = Arc::clone(self.links[to.index()].get_or_insert_with(Arc::default));
+        let mut st = lock(&link.state);
+        let mut sent = 0;
+        if st.queued == 0 {
+            if st.conn.is_none() && !std::mem::replace(&mut st.tried, true) {
+                st.conn = connect(addr).ok().map(Arc::new);
+                st.connected_once |= st.conn.is_some();
+            }
+            if let Some(conn) = st.conn.as_deref() {
+                let header = frame_header(self.me, payload.len());
+                let frame = [IoSlice::new(&header), IoSlice::new(&payload)];
+                let total = HEADER_BYTES + payload.len();
+                let wrote = loop {
+                    match (&*conn).write_vectored(&frame) {
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        r => break r,
+                    }
+                };
+                match wrote {
+                    Ok(n) => {
+                        self.stats.bytes.fetch_add(n as u64, Ordering::Relaxed);
+                        if n == total {
+                            self.stats.direct.fetch_add(1, Ordering::Relaxed);
+                            return;
+                        }
+                        sent = n; // the socket buffer filled mid-frame
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(_) => st.conn = None,
+                }
             }
         }
+        self.enqueue(to, &link, &mut st, Outgoing { payload, sent });
     }
 
     fn buffer_pool(&self) -> Option<BufferPool> {
@@ -208,170 +583,228 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
+    fn counters(&self) -> Vec<TransportCounter> {
+        let frames = "Frames sent over TCP, by who wrote them: the lane itself (direct) \
+                      or a per-peer sender thread (queued)";
         vec![
             (
                 "tpc_tcp_send_retries_total",
                 "Backoff sleeps taken by TCP sender threads after a failed connect or write.",
+                "",
                 self.stats.retries.load(Ordering::Relaxed),
             ),
             (
                 "tpc_tcp_reconnects_total",
                 "Successful TCP re-connects after a previously-established connection was lost.",
+                "",
                 self.stats.reconnects.load(Ordering::Relaxed),
             ),
             (
                 "tpc_tcp_frames_dropped_total",
                 "Frames dropped after TCP retry exhaustion (peer unreachable).",
+                "",
                 self.stats.dropped.load(Ordering::Relaxed),
+            ),
+            (
+                "tpc_tcp_frames_total",
+                frames,
+                "path=\"direct\"",
+                self.stats.direct.load(Ordering::Relaxed),
+            ),
+            (
+                "tpc_tcp_frames_total",
+                frames,
+                "path=\"queued\"",
+                self.stats.queued.load(Ordering::Relaxed),
             ),
         ]
     }
 
     fn backlog(&self) -> u64 {
-        self.stats.queued.load(Ordering::Relaxed)
+        self.stats.backlog.load(Ordering::Relaxed)
+    }
+
+    /// Ready peer frames first, then the node's channel; with both
+    /// empty, park the channel and `ppoll` the wake-up socket plus every
+    /// connection. A failure notice from the channel is held behind any
+    /// frame already on the wire, so a peer's last words (a vote written
+    /// just before it died) are read before its `PartnerDown`.
+    fn recv_timeout(
+        &mut self,
+        rx: &Receiver<Inbound>,
+        timeout: Duration,
+    ) -> std::result::Result<Inbound, RecvTimeoutError> {
+        let deadline = Instant::now().checked_add(timeout);
+        loop {
+            if let Some(m) = self.ready.pop_front() {
+                return Ok(m);
+            }
+            match rx.try_recv() {
+                Ok(m) => {
+                    if matches!(m, Inbound::PartnerDown { .. }) {
+                        self.poll_sockets(Duration::ZERO);
+                        if !self.ready.is_empty() {
+                            self.ready.push_back(m);
+                            continue;
+                        }
+                    }
+                    return Ok(m);
+                }
+                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) => {}
+            }
+            let left = deadline.map_or(timeout, |d| d.saturating_duration_since(Instant::now()));
+            if !rx.park() {
+                continue; // a message arrived (or every sender left)
+            }
+            self.poll_sockets(left);
+            rx.unpark();
+            let expired = left.is_zero() || deadline.is_some_and(|d| Instant::now() >= d);
+            if expired && self.ready.is_empty() && rx.is_empty() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+        }
+    }
+
+    fn pending_frames(&self) -> usize {
+        self.ready.len()
     }
 }
 
 /// Appends one wire frame (`u32 len | u32 sender | payload`) to the
-/// coalescing batch. The payload buffer recycles to the pool when the
-/// caller drops it.
+/// coalescing batch.
 fn append_frame(batch: &mut Vec<u8>, me: NodeId, payload: &[u8]) {
-    batch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    batch.extend_from_slice(&me.0.to_le_bytes());
+    batch.extend_from_slice(&frame_header(me, payload.len()));
     batch.extend_from_slice(payload);
 }
 
-/// One peer's sender loop: block for a frame, drain the run queued
-/// behind it (bounded), write the whole run with one `write_all`,
-/// reconnecting with backoff on failure. Exits when the transport side
-/// of the queue is dropped — after flushing what was already queued.
-///
-/// The coalescing batch is itself a pooled buffer: one checkout per
-/// `write_all`, recycled when the batch goes out of scope, so the
-/// steady-state sender performs zero allocations per frame.
-#[allow(clippy::too_many_arguments)]
-fn peer_sender(
+/// Writes all of `buf` to the non-blocking `conn`, waiting for room
+/// whenever the kernel's send buffer is full.
+fn write_all_waiting(conn: &TcpStream, mut buf: &[u8]) -> io::Result<()> {
+    let mut w = conn;
+    while !buf.is_empty() {
+        match w.write(buf) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                polling::poll_writable(conn.as_fd(), Duration::from_secs(1))?;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// One peer's sender thread: the slow path behind [`TcpTransport::send`].
+struct PeerSender {
     me: NodeId,
     to: NodeId,
     addr: SocketAddr,
     policy: RetryPolicy,
-    rx: Receiver<PooledBuf>,
+    link: Arc<PeerLink>,
     self_tx: Sender<Inbound>,
     stats: Arc<TcpSendStats>,
     pool: BufferPool,
-) {
-    let mut rng = policy
-        .seed
-        .wrapping_add(u64::from(me.0) << 8)
-        .wrapping_add(u64::from(to.0))
-        | 1;
-    let mut conn: Option<TcpStream> = None;
-    // Set while the peer is reported unreachable; cleared by the next
-    // successful connect so a recovered-then-failed peer is re-reported.
-    let mut reported_down = false;
-    // A connection was established at some point: a later successful
-    // connect counts as a reconnect.
-    let mut connected_once = false;
-    'frames: loop {
-        let Ok(first) = rx.recv() else { return };
-        let mut batch = pool.checkout();
-        append_frame(&mut batch, me, &first);
-        drop(first); // payload recycles while we keep draining
-        let mut frames = 1u64;
-        while batch.len() < MAX_COALESCE_BYTES && frames < MAX_COALESCE_FRAMES {
-            match rx.try_recv() {
-                Ok(f) => {
-                    append_frame(&mut batch, me, &f);
-                    frames += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        // Dequeued (written or dropped below, either way no longer
-        // queued): the backlog gauge shrinks as soon as the batch forms.
-        let dec = frames.min(stats.queued.load(Ordering::Relaxed));
-        stats.queued.fetch_sub(dec, Ordering::Relaxed);
-        let mut attempt = 0;
-        loop {
-            if conn.is_none() {
-                conn = TcpStream::connect(addr).ok();
-                if let Some(stream) = conn.as_ref() {
-                    stream.set_nodelay(true).ok();
-                    reported_down = false;
-                    if connected_once {
-                        stats.reconnects.fetch_add(1, Ordering::Relaxed);
+}
+
+impl PeerSender {
+    /// Blocks for a frame, drains the run queued behind it (bounded),
+    /// writes the whole run with one write, reconnecting with backoff on
+    /// failure. Exits when the transport closes the queue — after
+    /// writing what was already queued.
+    ///
+    /// The coalescing batch is itself a pooled buffer, recycled when the
+    /// batch goes out of scope, so the steady state allocates nothing.
+    fn run(self, rx: Receiver<Outgoing>) {
+        let mut rng = self
+            .policy
+            .seed
+            .wrapping_add(u64::from(self.me.0) << 8)
+            .wrapping_add(u64::from(self.to.0))
+            | 1;
+        // Set while the peer is reported unreachable; cleared by the next
+        // successful connect so a recovered-then-failed peer is
+        // re-reported.
+        let mut reported_down = false;
+        'frames: loop {
+            let Ok(first) = rx.recv() else { return };
+            let mut batch = self.pool.checkout();
+            // Bytes of the batch already on the current connection: the
+            // lane's partial write of the first frame.
+            let mut skip = first.sent;
+            append_frame(&mut batch, self.me, &first.payload);
+            drop(first); // payload recycles while we keep draining
+            let mut frames = 1u64;
+            while batch.len() < MAX_COALESCE_BYTES && frames < MAX_COALESCE_FRAMES {
+                match rx.try_recv() {
+                    Ok(f) => {
+                        append_frame(&mut batch, self.me, &f.payload);
+                        frames += 1;
                     }
-                    connected_once = true;
+                    Err(_) => break,
                 }
             }
-            if let Some(stream) = conn.as_mut() {
-                if stream.write_all(&batch).is_ok() {
-                    stats.frames.fetch_add(frames, Ordering::Relaxed);
-                    stats.writes.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            let mut attempt = 0;
+            loop {
+                let conn = lock(&self.link.state).conn.clone();
+                let conn = match conn {
+                    Some(c) => Some(c),
+                    None => {
+                        // A fresh connection: the whole batch goes again.
+                        skip = 0;
+                        self.reconnect()
+                    }
+                };
+                if let Some(conn) = conn {
+                    reported_down = false;
+                    if write_all_waiting(&conn, &batch[skip..]).is_ok() {
+                        self.stats.queued.fetch_add(frames, Ordering::Relaxed);
+                        self.stats.writes.fetch_add(1, Ordering::Relaxed);
+                        let bytes = (batch.len() - skip) as u64;
+                        self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+                        self.finish(frames);
+                        continue 'frames;
+                    }
+                    lock(&self.link.state).conn = None;
+                }
+                attempt += 1;
+                if attempt >= self.policy.max_attempts {
+                    // Retries exhausted: drop the batch and tell our own
+                    // engine so it can abort unvoted work and lean on
+                    // timers for the rest, instead of silently losing
+                    // frames.
+                    self.stats.dropped.fetch_add(frames, Ordering::Relaxed);
+                    self.finish(frames);
+                    if !reported_down {
+                        reported_down = true;
+                        let _ = self.self_tx.send(Inbound::PartnerDown { peer: self.to });
+                    }
                     continue 'frames;
                 }
-                conn = None;
+                self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(self.policy.backoff(attempt, &mut rng));
             }
-            attempt += 1;
-            if attempt >= policy.max_attempts {
-                // Retries exhausted: drop the batch and tell our own
-                // engine so it can abort unvoted work and lean on timers
-                // for the rest, instead of silently losing frames.
-                stats.dropped.fetch_add(frames, Ordering::Relaxed);
-                if !reported_down {
-                    reported_down = true;
-                    let _ = self_tx.send(Inbound::PartnerDown { peer: to });
-                }
-                continue 'frames;
-            }
-            stats.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(policy.backoff(attempt, &mut rng));
         }
     }
-}
 
-fn acceptor(listener: TcpListener, tx: Sender<Inbound>, pool: BufferPool) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { break };
-        let tx = tx.clone();
-        let pool = pool.clone();
-        if std::thread::Builder::new()
-            .name("tpc-tcp-reader".into())
-            .spawn(move || reader(stream, tx, pool))
-            .is_err()
-        {
-            // Could not spawn a reader: drop the connection; the peer
-            // will reconnect and retry.
-            continue;
+    /// One connect attempt; a success becomes the link's connection.
+    fn reconnect(&self) -> Option<Arc<TcpStream>> {
+        let conn = Arc::new(connect(self.addr).ok()?);
+        let mut st = lock(&self.link.state);
+        if st.connected_once {
+            self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
         }
+        st.connected_once = true;
+        st.conn = Some(Arc::clone(&conn));
+        Some(conn)
     }
-}
 
-fn reader(mut stream: TcpStream, tx: Sender<Inbound>, pool: BufferPool) {
-    let mut header = [0u8; 8];
-    loop {
-        if stream.read_exact(&mut header).is_err() {
-            return; // peer closed or died: reader ends quietly
-        }
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        let from = NodeId(u32::from_le_bytes([
-            header[4], header[5], header[6], header[7],
-        ]));
-        if len > 64 * 1024 * 1024 {
-            return; // absurd frame: drop the connection
-        }
-        // Pooled frame assembly: the worker drops the buffer after
-        // decoding and the capacity comes back here for the next frame.
-        let mut bytes = pool.checkout();
-        bytes.resize(len, 0);
-        if stream.read_exact(&mut bytes).is_err() {
-            return;
-        }
-        if tx.send(Inbound::Frame { from, bytes }).is_err() {
-            return;
-        }
+    /// `frames` left the queue (written or dropped): once none remain,
+    /// the lane writes directly again.
+    fn finish(&self, frames: u64) {
+        lock(&self.link.state).queued -= frames;
+        self.stats.backlog.fetch_sub(frames, Ordering::Relaxed);
     }
 }
 
@@ -386,11 +819,9 @@ pub struct TcpCluster {
     epoch: Instant,
     reply_timeout: Duration,
     signal: Arc<ClusterSignal>,
-    /// One buffer pool per node, shared by its transport (outbound
-    /// encode + sender batches) and its acceptor's readers (inbound
-    /// frame assembly). A restart reuses the node's pool so warmed
-    /// capacity survives the crash.
-    pools: Vec<BufferPool>,
+    /// One inbound hub per node: its accepted connections and its
+    /// buffer pool, both of which outlive a crashed worker.
+    hubs: Vec<Arc<InboundHub>>,
     /// The socket addresses the nodes listen on.
     pub addrs: Vec<SocketAddr>,
 }
@@ -421,10 +852,15 @@ impl TcpCluster {
         }
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
+        let mut hubs = Vec::with_capacity(n);
         for _ in 0..n {
             let (tx, rx) = unbounded();
+            let hub = InboundHub::new()?;
+            // A channel message wakes the lane out of its socket poll.
+            rx.set_waker(hub.waker());
             senders.push(tx);
             receivers.push(rx);
+            hubs.push(hub);
         }
         let epoch = Instant::now();
         let mut cluster = TcpCluster {
@@ -437,16 +873,15 @@ impl TcpCluster {
             epoch,
             reply_timeout: DEFAULT_REPLY_TIMEOUT,
             signal: Arc::new(ClusterSignal::new()),
-            pools: (0..n).map(|_| BufferPool::new()).collect(),
+            hubs,
             addrs,
         };
         for (i, listener) in listeners.into_iter().enumerate() {
             let node = NodeId(i as u32);
-            let tx = cluster.senders[i].clone();
-            let pool = cluster.pools[i].clone();
+            let hub = Arc::downgrade(&cluster.hubs[i]);
             std::thread::Builder::new()
                 .name(format!("tpc-acceptor-{i}"))
-                .spawn(move || acceptor(listener, tx, pool))?;
+                .spawn(move || InboundHub::accept_loop(hub, listener))?;
             let transport = cluster.make_transport(node, faults[i].clone());
             // Commit trees form from the work actually exchanged; no
             // standing partnership by default (it is directional and
@@ -477,7 +912,7 @@ impl TcpCluster {
             self.addrs.clone(),
             self.policy.clone(),
             self.senders[node.index()].clone(),
-            self.pools[node.index()].clone(),
+            Arc::clone(&self.hubs[node.index()]),
         );
         match plan {
             Some(plan) => Box::new(FaultyWire::new(base, plan)),
@@ -485,11 +920,12 @@ impl TcpCluster {
         }
     }
 
-    /// Kills `node`'s worker mid-protocol (its listener stays bound —
-    /// the model is a crashed transaction manager whose endpoint
-    /// reappears on restart, so peer frames sent meanwhile queue and are
-    /// discarded at restart like packets to a dead process). Partners are
-    /// notified so they abort or re-drive.
+    /// Kills `node`'s worker mid-protocol (its listener and inbound
+    /// connections stay open — the model is a crashed transaction
+    /// manager whose endpoint reappears on restart, so peer frames sent
+    /// meanwhile wait in the sockets and are discarded at restart like
+    /// packets to a dead process). Partners are notified so they abort
+    /// or re-drive.
     pub fn kill(&mut self, node: NodeId) -> Result<NodeSummary> {
         let handle = self.handles[node.index()]
             .take()
@@ -538,12 +974,15 @@ impl TcpCluster {
     }
 
     /// Restarts a killed node from its durable file WAL; recovery
-    /// messages go out over real sockets.
+    /// messages go out over real sockets. Whatever reached the dead
+    /// incarnation — channel messages and every whole frame its
+    /// connections hold — is discarded first.
     pub fn restart(&mut self, node: NodeId) -> Result<()> {
         if self.handles[node.index()].is_some() {
             return Err(Error::InvalidState(format!("{node} is already running")));
         }
         while self.receivers[node.index()].try_recv().is_ok() {}
+        self.hubs[node.index()].discard_pending();
         let transport = self.make_transport(node, None);
         let worker = NodeWorker::restart(
             node,
@@ -777,6 +1216,7 @@ impl TcpCommitWait {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tpc_common::{Outcome, ProtocolKind};
 
     #[test]
@@ -827,6 +1267,82 @@ mod tests {
         c.shutdown();
     }
 
+    /// The value of transport counter `name{labels}` across `summaries`.
+    fn counter(summaries: &[NodeSummary], name: &str, labels: &str) -> u64 {
+        summaries
+            .iter()
+            .flat_map(|s| &s.transport)
+            .filter(|(n, _, l, _)| *n == name && *l == labels)
+            .map(|c| c.3)
+            .sum()
+    }
+
+    #[test]
+    fn fault_free_cluster_writes_every_frame_from_the_lane() {
+        let c = TcpCluster::start(vec![
+            LiveNodeConfig::new(ProtocolKind::PresumedAbort),
+            LiveNodeConfig::new(ProtocolKind::PresumedAbort),
+            LiveNodeConfig::new(ProtocolKind::PresumedAbort),
+        ])
+        .expect("bind loopback");
+        for i in 0..20 {
+            let t = c.begin(NodeId(i % 2));
+            t.work(NodeId(2), vec![Op::put(&format!("k{i}"), "v")]);
+            assert_eq!(t.commit().expect("root alive").outcome, Outcome::Commit);
+        }
+        assert!(c.quiesce(Duration::from_secs(5)));
+        let text = c.prometheus_dump();
+        for path in ["direct", "queued"] {
+            let series = format!("tpc_tcp_frames_total{{node=\"2\",path=\"{path}\"}} ");
+            assert!(text.contains(&series), "missing {series} in {text}");
+        }
+        let summaries = c.shutdown();
+        let direct = counter(&summaries, "tpc_tcp_frames_total", "path=\"direct\"");
+        let queued = counter(&summaries, "tpc_tcp_frames_total", "path=\"queued\"");
+        let flows: u64 = summaries.iter().map(|s| s.driver.flows_sent).sum();
+        assert_eq!(queued, 0, "no frame needed a sender thread");
+        assert_eq!(direct, flows, "one frame per flow, all written by a lane");
+        assert!(summaries
+            .iter()
+            .all(|s| s.net == TransportHealth::default()));
+    }
+
+    #[test]
+    fn frame_sent_to_a_down_node_is_not_delivered_to_its_next_incarnation() {
+        let dir = std::env::temp_dir().join(format!("tpc-tcp-down-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = || LiveNodeConfig::new(ProtocolKind::PresumedAbort).with_file_log(&dir);
+        let mut c = TcpCluster::start(vec![cfg(), cfg()]).expect("bind loopback");
+        let (root, sub) = (NodeId(0), NodeId(1));
+        // Warm the root → sub connection, so it is adopted by sub's hub
+        // before the crash (not still in the listener's backlog).
+        let t = c.begin(root);
+        t.work(sub, vec![Op::put("warm", "1")]);
+        assert_eq!(t.commit().expect("root alive").outcome, Outcome::Commit);
+        assert!(c.quiesce(Duration::from_secs(5)));
+
+        c.kill(sub).expect("sub alive");
+        let txn = c.begin(root).id();
+        let ops = vec![Op::put("ghost", "1")];
+        let _ = c.senders[root.index()].send(Inbound::App(AppCmd::Work { txn, to: sub, ops }));
+        // Channel order: once the root answers this, its lane has
+        // written the Work frame into sub's socket.
+        c.summary(root).expect("root alive");
+        c.restart(sub).expect("restart");
+        let t = TcpTxnHandle {
+            cluster: &c,
+            txn,
+            root,
+        };
+        let r = t.commit().expect("root alive");
+        assert_eq!(r.outcome, Outcome::Abort, "the work died with the process");
+        assert!(c.quiesce(Duration::from_secs(5)));
+        assert_eq!(c.read(sub, "ghost"), None);
+        assert_eq!(c.read(sub, "warm"), Some(b"1".to_vec()));
+        c.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn backoff_grows_and_caps_with_jitter_bounds() {
         let policy = RetryPolicy {
@@ -855,6 +1371,13 @@ mod tests {
         assert!(d <= Duration::from_millis(40));
     }
 
+    /// A sending transport for node `me` whose peers listen at `addrs`.
+    fn sender(me: u32, addrs: Vec<SocketAddr>) -> TcpTransport {
+        let (self_tx, _self_rx) = unbounded();
+        let hub = InboundHub::new().expect("socketpair");
+        TcpTransport::new(NodeId(me), addrs, RetryPolicy::default(), self_tx, hub)
+    }
+
     #[test]
     fn unreachable_peer_reports_partner_down_after_bounded_retries() {
         // A listener we bind then drop: connecting to it fails fast.
@@ -875,11 +1398,11 @@ mod tests {
             vec![live.local_addr().unwrap(), dead_addr],
             policy,
             self_tx,
-            BufferPool::new(),
+            InboundHub::new().unwrap(),
         );
         let stats = t.stats();
-        // Sends are asynchronous now: the report arrives once the sender
-        // thread exhausts its retries, so wait on the channel.
+        // The inline connect fails, so the frame goes to the sender
+        // thread; its report arrives once the retries are exhausted.
         t.send(NodeId(1), vec![1, 2, 3].into());
         match self_rx.recv_timeout(Duration::from_secs(10)) {
             Ok(Inbound::PartnerDown { peer }) => assert_eq!(peer, NodeId(1)),
@@ -896,64 +1419,126 @@ mod tests {
             self_rx.recv_timeout(Duration::from_millis(300)).is_err(),
             "no duplicate report"
         );
+        assert_eq!(stats.direct.load(Ordering::Relaxed), 0);
     }
 
-    /// Collects parsed frames from one accepted connection.
-    fn collect_frames(listener: TcpListener) -> Receiver<Inbound> {
+    /// A node's receiving side, driven by the test thread the way a lane
+    /// drives it: an inbound hub behind a listener, a transport over it
+    /// and the node's channel.
+    struct Inbox {
+        t: TcpTransport,
+        tx: Sender<Inbound>,
+        rx: Receiver<Inbound>,
+        addr: SocketAddr,
+    }
+
+    fn inbox() -> Inbox {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let hub = InboundHub::new().unwrap();
+        let acceptor = Arc::downgrade(&hub);
+        std::thread::spawn(move || InboundHub::accept_loop(acceptor, listener));
         let (tx, rx) = unbounded();
-        std::thread::spawn(move || {
-            if let Ok((stream, _)) = listener.accept() {
-                reader(stream, tx, BufferPool::new());
+        rx.set_waker(hub.waker());
+        let t = TcpTransport::new(
+            NodeId(99),
+            Vec::new(),
+            RetryPolicy::default(),
+            tx.clone(),
+            hub,
+        );
+        Inbox { t, tx, rx, addr }
+    }
+
+    impl Inbox {
+        /// The next message, or `None` after `wait`.
+        fn recv(&mut self, wait: Duration) -> Option<(NodeId, Vec<u8>)> {
+            match self.t.recv_timeout(&self.rx, wait) {
+                Ok(Inbound::Frame { from, bytes }) => Some((from, bytes.to_vec())),
+                Ok(_) => panic!("only frames expected"),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => panic!("channel closed"),
             }
-        });
-        rx
+        }
+
+        /// The next frame, failing the test after 10 s.
+        fn frame(&mut self) -> (NodeId, Vec<u8>) {
+            self.recv(Duration::from_secs(10))
+                .expect("frame within 10 s")
+        }
+    }
+
+    /// Waits until the sender threads have written (and counted) every
+    /// queued frame: the receiver can read a frame before its writer
+    /// gets to count it.
+    fn settle(stats: &TcpSendStats) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stats.backlog.load(Ordering::Relaxed) > 0 {
+            assert!(Instant::now() < deadline, "sender thread stuck");
+            std::thread::yield_now();
+        }
+    }
+
+    /// `len | sender | body` as a raw peer would write it.
+    fn wire(from: u32, body: &[u8]) -> Vec<u8> {
+        let mut w = frame_header(NodeId(from), body.len()).to_vec();
+        w.extend_from_slice(body);
+        w
+    }
+
+    fn raw_peer(addr: SocketAddr) -> TcpStream {
+        let s = TcpStream::connect(addr).expect("connect");
+        s.set_nodelay(true).ok();
+        s
     }
 
     #[test]
     fn frame_boundaries_survive_coalescing() {
-        // Rapid-fire sends queue behind the sender thread's first
-        // connect/write, so later frames are coalesced into shared
-        // write_all calls. Every frame must still arrive intact, in
-        // order: boundaries live in the length prefix, not in write
-        // boundaries.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let frames_rx = collect_frames(listener);
-        let (self_tx, _self_rx) = unbounded();
-        let pool = BufferPool::new();
-        let mut t = TcpTransport::new(
-            NodeId(3),
-            vec![addr],
-            RetryPolicy::default(),
-            self_tx,
-            pool.clone(),
-        );
+        // The receiver is paused while frames pour in, so the lane's
+        // direct writes hit a full socket buffer: the frame cut short
+        // and everything after it go to the sender thread, which
+        // coalesces the queued run into shared writes. Every frame must
+        // still arrive intact, once, in order: boundaries live in the
+        // length prefix, not in write boundaries or in which path wrote.
+        let mut inbox = inbox();
+        let mut t = sender(3, vec![inbox.addr]);
         let stats = t.stats();
+        let pool = t.buffer_pool().expect("tcp pools");
+        let body = |i: usize| format!("frame-{i}-{}", "x".repeat(i % 997)).into_bytes();
 
-        const N: usize = 2000;
-        for i in 0..N {
-            // Varying lengths so a misplaced boundary corrupts a parse.
-            let body = format!("frame-{i}-{}", "x".repeat(i % 97));
+        let mut n = 0;
+        while stats.backlog.load(Ordering::Relaxed) == 0 || n < 2000 {
+            assert!(n < 200_000, "the socket buffer never filled");
             let mut buf = pool.checkout();
-            buf.extend_from_slice(body.as_bytes());
+            buf.extend_from_slice(&body(n));
             t.send(NodeId(0), buf);
+            n += 1;
         }
-        for i in 0..N {
-            match frames_rx.recv_timeout(Duration::from_secs(10)) {
-                Ok(Inbound::Frame { from, bytes }) => {
-                    assert_eq!(from, NodeId(3));
-                    let expect = format!("frame-{i}-{}", "x".repeat(i % 97));
-                    assert_eq!(*bytes, expect.into_bytes(), "frame {i} corrupted");
-                }
-                other => panic!("frame {i} missing, got ok={:?}", other.is_ok()),
-            }
+        for _ in 0..300 {
+            t.send(NodeId(0), body(n).into());
+            n += 1;
         }
-        let frames = stats.frames.load(Ordering::Relaxed);
+        for i in 0..n {
+            let (from, bytes) = inbox.frame();
+            assert_eq!(from, NodeId(3));
+            assert_eq!(bytes, body(i), "frame {i} corrupted");
+        }
+        settle(&stats);
+        let direct = stats.direct.load(Ordering::Relaxed);
+        let queued = stats.queued.load(Ordering::Relaxed);
         let writes = stats.writes.load(Ordering::Relaxed);
-        assert_eq!(frames, N as u64, "every frame written exactly once");
+        assert_eq!(
+            direct + queued,
+            n as u64,
+            "every frame written exactly once"
+        );
         assert!(
-            writes < frames,
-            "sender should coalesce queued frames: {writes} writes for {frames} frames"
+            direct > 0 && queued > 300,
+            "both paths ran: {direct} / {queued}"
+        );
+        assert!(
+            writes < queued,
+            "sender should coalesce queued frames: {writes} writes for {queued} frames"
         );
         // Payloads and batch buffers recycle: the steady state reuses
         // capacity instead of allocating per frame.
@@ -985,59 +1570,35 @@ mod tests {
 
     #[test]
     fn random_frame_sizes_survive_coalescing() {
-        // The PR 3 regression test with fixed shapes, generalized: seeded
-        // random frame lengths (including empty bodies) through the real
-        // sender thread. Coalescing must never move a frame boundary.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let frames_rx = collect_frames(listener);
-        let (self_tx, _self_rx) = unbounded();
-        let mut t = TcpTransport::new(
-            NodeId(5),
-            vec![addr],
-            RetryPolicy::default(),
-            self_tx,
-            BufferPool::new(),
-        );
-
+        // Seeded random frame lengths (including empty bodies) from a
+        // real transport to a real inbox: no path may move a boundary.
+        let mut inbox = inbox();
+        let mut t = sender(5, vec![inbox.addr]);
         const SEED: u64 = 0xF00D_CAFE;
         const N: usize = 1500;
         for i in 0..N {
             t.send(NodeId(0), fuzz_body(SEED, i).into());
         }
         for i in 0..N {
-            match frames_rx.recv_timeout(Duration::from_secs(10)) {
-                Ok(Inbound::Frame { from, bytes }) => {
-                    assert_eq!(from, NodeId(5));
-                    assert_eq!(*bytes, fuzz_body(SEED, i), "frame {i} corrupted");
-                }
-                other => panic!("frame {i} missing, got ok={:?}", other.is_ok()),
-            }
+            let (from, bytes) = inbox.frame();
+            assert_eq!(from, NodeId(5));
+            assert_eq!(bytes, fuzz_body(SEED, i), "frame {i} corrupted");
         }
     }
 
     #[test]
     fn partial_writes_never_split_frame_boundaries() {
         // The receiving half under adversarial segmentation: a writer
-        // that chops the byte stream into random small chunks (flushing
-        // between them), so headers and bodies straddle read boundaries
-        // arbitrarily. The reader must reassemble every frame exactly.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let frames_rx = collect_frames(listener);
-
+        // that chops the byte stream into random small chunks, so
+        // headers and bodies straddle read boundaries arbitrarily. The
+        // inbox must reassemble every frame exactly.
+        let mut inbox = inbox();
+        let addr = inbox.addr;
         const SEED: u64 = 0xDEAD_BEEF;
         const N: usize = 400;
         let writer = std::thread::spawn(move || {
-            let mut wire = Vec::new();
-            for i in 0..N {
-                let body = fuzz_body(SEED, i);
-                wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                wire.extend_from_slice(&9u32.to_le_bytes()); // sender id
-                wire.extend_from_slice(&body);
-            }
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream.set_nodelay(true).ok();
+            let wire: Vec<u8> = (0..N).flat_map(|i| wire(9, &fuzz_body(SEED, i))).collect();
+            let mut stream = raw_peer(addr);
             let mut s = SEED | 1;
             let mut off = 0;
             while off < wire.len() {
@@ -1046,20 +1607,190 @@ mod tests {
                 let chunk = (1 + lcg(&mut s) % 97) as usize;
                 let end = (off + chunk).min(wire.len());
                 stream.write_all(&wire[off..end]).expect("chunk write");
-                stream.flush().ok();
                 off = end;
             }
         });
-
         for i in 0..N {
-            match frames_rx.recv_timeout(Duration::from_secs(10)) {
-                Ok(Inbound::Frame { from, bytes }) => {
-                    assert_eq!(from, NodeId(9));
-                    assert_eq!(*bytes, fuzz_body(SEED, i), "frame {i} corrupted");
-                }
-                other => panic!("frame {i} missing, got ok={:?}", other.is_ok()),
-            }
+            let (from, bytes) = inbox.frame();
+            assert_eq!(from, NodeId(9));
+            assert_eq!(bytes, fuzz_body(SEED, i), "frame {i} corrupted");
         }
         writer.join().expect("writer thread");
+    }
+
+    #[test]
+    fn frame_delivered_one_byte_per_write_is_reassembled() {
+        let mut inbox = inbox();
+        let mut peer = raw_peer(inbox.addr);
+        let w = wire(7, b"hello");
+        // The first frame proves the connection is adopted, so every
+        // later byte is read on its own.
+        peer.write_all(&wire(7, b"")).unwrap();
+        assert_eq!(inbox.frame(), (NodeId(7), Vec::new()));
+        for (i, byte) in w.iter().enumerate() {
+            peer.write_all(std::slice::from_ref(byte)).unwrap();
+            if i + 1 < w.len() {
+                assert_eq!(inbox.recv(Duration::from_millis(2)), None, "byte {i}");
+            }
+        }
+        assert_eq!(inbox.frame(), (NodeId(7), b"hello".to_vec()));
+    }
+
+    #[test]
+    fn hundred_frames_in_one_read_are_all_delivered() {
+        let mut inbox = inbox();
+        let mut peer = raw_peer(inbox.addr);
+        let burst: Vec<u8> = (0..100u32)
+            .flat_map(|i| wire(4, &i.to_le_bytes()))
+            .collect();
+        peer.write_all(&burst).unwrap();
+        assert_eq!(inbox.frame(), (NodeId(4), 0u32.to_le_bytes().to_vec()));
+        assert_eq!(
+            inbox.t.pending_frames(),
+            99,
+            "one read parsed the whole burst"
+        );
+        for i in 1..100u32 {
+            assert_eq!(inbox.frame(), (NodeId(4), i.to_le_bytes().to_vec()));
+        }
+    }
+
+    #[test]
+    fn oversized_length_header_drops_only_that_connection() {
+        let mut inbox = inbox();
+        let mut bad = raw_peer(inbox.addr);
+        let mut good = raw_peer(inbox.addr);
+        good.write_all(&wire(2, b"before")).unwrap();
+        assert_eq!(inbox.frame(), (NodeId(2), b"before".to_vec()));
+        let mut header = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec();
+        header.extend_from_slice(&1u32.to_le_bytes());
+        bad.write_all(&header).unwrap();
+        // The inbox closes the bad connection: its peer reads the end.
+        assert_eq!(inbox.recv(Duration::from_millis(50)), None);
+        bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 1];
+        assert!(
+            matches!(bad.read(&mut buf), Ok(0) | Err(_)),
+            "the garbled connection must be closed"
+        );
+        good.write_all(&wire(2, b"after")).unwrap();
+        assert_eq!(inbox.frame(), (NodeId(2), b"after".to_vec()));
+        assert_eq!(inbox.t.conns.len(), 1);
+    }
+
+    #[test]
+    fn closed_peer_is_removed_not_polled_forever() {
+        let mut inbox = inbox();
+        let mut peer = raw_peer(inbox.addr);
+        peer.write_all(&wire(1, b"last words")).unwrap();
+        drop(peer);
+        assert_eq!(inbox.frame(), (NodeId(1), b"last words".to_vec()));
+        assert_eq!(inbox.recv(Duration::from_millis(20)), None);
+        assert!(inbox.t.conns.is_empty(), "the closed connection is gone");
+    }
+
+    #[test]
+    fn restart_discards_whole_frames_and_keeps_framing() {
+        let mut inbox = inbox();
+        let mut peer = raw_peer(inbox.addr);
+        peer.write_all(&wire(6, b"adopted")).unwrap();
+        assert_eq!(inbox.frame(), (NodeId(6), b"adopted".to_vec()));
+        // Sent to the old incarnation: one whole frame, one half frame.
+        let half = wire(6, b"split across the crash");
+        peer.write_all(&wire(6, b"lost")).unwrap();
+        peer.write_all(&half[..10]).unwrap();
+        let Inbox { t, tx, rx, addr } = inbox;
+        let hub = Arc::clone(&t.hub);
+        drop(t); // the worker dies; its connections go back to the hub
+        hub.discard_pending();
+        peer.write_all(&half[10..]).unwrap();
+        peer.write_all(&wire(6, b"next incarnation")).unwrap();
+        let t = TcpTransport::new(
+            NodeId(99),
+            Vec::new(),
+            RetryPolicy::default(),
+            tx.clone(),
+            hub,
+        );
+        let mut inbox = Inbox { t, tx, rx, addr };
+        assert_eq!(inbox.frame(), (NodeId(6), b"next incarnation".to_vec()));
+    }
+
+    /// One step of [`sends_arrive_exactly_once_in_per_peer_order`].
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// One frame of `len` body bytes from sender `peer`.
+        Send { peer: usize, len: usize },
+        /// Frames from `peer` until its socket buffer is full and one is
+        /// queued (the receiver is paused meanwhile).
+        Flood { peer: usize },
+        /// Resume the receiver: read everything sent so far.
+        Drain,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..10, 0usize..2, 0usize..3000).prop_map(|(kind, peer, len)| match kind {
+            0 => Step::Flood { peer },
+            1 | 2 => Step::Drain,
+            _ => Step::Send { peer, len },
+        })
+    }
+
+    /// A frame body naming its sender and sequence number.
+    fn numbered(peer: usize, seq: u32, len: usize) -> PooledBuf {
+        let mut b = vec![peer as u8];
+        b.extend_from_slice(&seq.to_le_bytes());
+        b.resize(5 + len, seq as u8);
+        b.into()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Two senders, one receiver that pauses and resumes: whichever
+        /// path each frame takes (written by the lane, queued behind a
+        /// full socket buffer, or cut short and finished by the sender
+        /// thread), every frame arrives exactly once and in per-peer
+        /// order.
+        fn sends_arrive_exactly_once_in_per_peer_order(
+            steps in prop::collection::vec(step(), 1..40)
+        ) {
+            let mut inbox = inbox();
+            let mut peers = [sender(0, vec![inbox.addr]), sender(1, vec![inbox.addr])];
+            let mut sent = [0u32; 2];
+            let mut seen = [0u32; 2];
+            let mut drain = |inbox: &mut Inbox, sent: &[u32; 2]| {
+                while seen != *sent {
+                    let (from, body) = inbox.frame();
+                    let p = from.0 as usize;
+                    let seq = u32::from_le_bytes([body[1], body[2], body[3], body[4]]);
+                    assert_eq!((body[0] as usize, seq), (p, seen[p]), "out of order");
+                    seen[p] += 1;
+                }
+            };
+            for step in steps.into_iter().chain([Step::Drain]) {
+                match step {
+                    Step::Send { peer, len } => {
+                        peers[peer].send(NodeId(0), numbered(peer, sent[peer], len));
+                        sent[peer] += 1;
+                    }
+                    Step::Flood { peer } => {
+                        let stats = peers[peer].stats();
+                        while stats.backlog.load(Ordering::Relaxed) == 0 {
+                            prop_assert!(sent[peer] < 100_000, "never filled");
+                            peers[peer].send(NodeId(0), numbered(peer, sent[peer], 16 * 1024));
+                            sent[peer] += 1;
+                        }
+                    }
+                    Step::Drain => drain(&mut inbox, &sent),
+                }
+            }
+            for (p, t) in peers.iter().enumerate() {
+                settle(&t.stats);
+                let direct = t.stats.direct.load(Ordering::Relaxed);
+                let queued = t.stats.queued.load(Ordering::Relaxed);
+                prop_assert_eq!(direct + queued, u64::from(sent[p]));
+            }
+        }
     }
 }

@@ -437,8 +437,22 @@ fn root_crash_after_deciding_recovers_and_completes_phase_two() {
 fn kill_and_restart_works_over_tcp_too() {
     // The same crash/recovery choreography with frames on real loopback
     // sockets: the victim dies in-doubt (k = 2) and must re-learn the
-    // outcome over TCP after restart.
-    let dir = temp_dir("tcp");
+    // outcome over TCP after restart. Its YES vote was written by its
+    // own lane before it died, and the root reads a dead peer's frames
+    // before its failure notice, so the outcome is Commit every time.
+    tcp_kill_case(2, Outcome::Commit);
+}
+
+#[test]
+fn tcp_victim_killed_before_its_vote_aborts_on_both_nodes() {
+    // The mirror case: the victim dies holding Work (k = 1) before any
+    // Prepare reaches it; the root's Prepare dies in its sockets.
+    tcp_kill_case(1, Outcome::Abort);
+}
+
+fn tcp_kill_case(k: u32, expected: Outcome) {
+    let ctx = format!("tcp k={k}");
+    let dir = temp_dir(&format!("tcp-{k}"));
     let root = NodeId(0);
     let victim = NodeId(1);
     let mut c = TcpCluster::start(vec![
@@ -448,7 +462,7 @@ fn kill_and_restart_works_over_tcp_too() {
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
             .with_file_log(&dir)
             .with_timeouts(chaos_timeouts())
-            .kill_after_frames(2),
+            .kill_after_frames(k),
     ])
     .expect("bind loopback")
     .with_reply_timeout(Duration::from_secs(20));
@@ -460,28 +474,34 @@ fn kill_and_restart_works_over_tcp_too() {
 
     let s = c
         .await_death(victim, Duration::from_secs(10))
-        .expect("victim dies after voting");
-    assert!(s.protocol_state.crashed);
+        .unwrap_or_else(|e| panic!("{ctx}: victim dies on schedule: {e}"));
+    assert!(s.protocol_state.crashed, "{ctx}");
     c.restart(victim).expect("restart over TCP");
 
     let result = wait
         .wait_with(Duration::from_secs(20))
         .expect("root answers");
-    assert_eq!(result.outcome, Outcome::Commit);
-    assert!(c.quiesce(Duration::from_secs(20)), "must quiesce");
+    assert_eq!(result.outcome, expected, "{ctx}");
+    assert!(c.quiesce(Duration::from_secs(20)), "{ctx}: must quiesce");
+    let (stored, want) = match expected {
+        Outcome::Commit => (
+            c.read_eventually(victim, "tcp-chaos", Duration::from_secs(10)),
+            Some(b"v".to_vec()),
+        ),
+        _ => (c.read(victim, "tcp-chaos"), None),
+    };
     assert_eq!(
-        c.read_eventually(victim, "tcp-chaos", Duration::from_secs(10)),
-        Some(b"v".to_vec()),
-        "committed write must survive the crash on the TCP harness"
+        stored, want,
+        "{ctx}: the victim's store must agree with the root's outcome"
     );
 
     let outcomes = vec![verify::outcome_record(txn, root, &result)];
     let summaries = c.shutdown();
     let (violations, unresolved) = verify::check(&summaries, &outcomes);
-    assert!(violations.is_empty(), "{violations:?}");
-    assert!(unresolved.is_empty(), "{unresolved:?}");
+    assert!(violations.is_empty(), "{ctx}: {violations:?}");
+    assert!(unresolved.is_empty(), "{ctx}: {unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
-    assert!(wal.is_empty(), "{wal:?}");
+    assert!(wal.is_empty(), "{ctx}: {wal:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -18,10 +18,30 @@ pub mod channel {
         cond: Condvar,
     }
 
+    /// Called (outside the channel lock) to wake a parked receiver.
+    pub type Waker = Arc<dyn Fn() + Send + Sync>;
+
     struct Inner<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `cond` right now.
+        blocked: usize,
+        /// A receiver is parked outside the channel and wants `waker`.
+        parked: bool,
+        waker: Option<Waker>,
+    }
+
+    impl<T> Inner<T> {
+        /// Clears the parked flag and hands back the waker to call, if a
+        /// receiver was parked.
+        fn take_wake(&mut self) -> Option<Waker> {
+            if std::mem::take(&mut self.parked) {
+                self.waker.clone()
+            } else {
+                None
+            }
+        }
     }
 
     /// Sending half; clone freely.
@@ -67,6 +87,9 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                blocked: 0,
+                parked: false,
+                waker: None,
             }),
             cond: Condvar::new(),
         });
@@ -92,8 +115,15 @@ pub mod channel {
                 return Err(SendError(value));
             }
             inner.queue.push_back(value);
+            let notify = inner.blocked > 0;
+            let wake = inner.take_wake();
             drop(inner);
-            self.shared.cond.notify_one();
+            if notify {
+                self.shared.cond.notify_one();
+            }
+            if let Some(wake) = wake {
+                wake();
+            }
             Ok(())
         }
     }
@@ -112,8 +142,12 @@ pub mod channel {
             let mut inner = self.shared.inner.lock().unwrap();
             inner.senders -= 1;
             if inner.senders == 0 {
+                let wake = inner.take_wake();
                 drop(inner);
                 self.shared.cond.notify_all();
+                if let Some(wake) = wake {
+                    wake();
+                }
             }
         }
     }
@@ -129,7 +163,9 @@ pub mod channel {
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
+                inner.blocked += 1;
                 inner = self.shared.cond.wait(inner).unwrap();
+                inner.blocked -= 1;
             }
         }
 
@@ -157,6 +193,32 @@ pub mod channel {
             self.shared.inner.lock().unwrap().queue.len()
         }
 
+        /// Installs the waker a parked receiver is woken with (see
+        /// [`Receiver::park`]); replaces any earlier one.
+        pub fn set_waker(&self, waker: Waker) {
+            self.shared.inner.lock().unwrap().waker = Some(waker);
+        }
+
+        /// Declares that this receiver is about to wait outside the
+        /// channel. Refuses (returns `false`) while a value is queued or
+        /// after every sender is gone — the caller must not wait then.
+        /// Otherwise the next `send`, or the last sender's drop, calls
+        /// the waker once and clears the flag.
+        pub fn park(&self) -> bool {
+            let mut inner = self.shared.inner.lock().unwrap();
+            if !inner.queue.is_empty() || inner.senders == 0 {
+                return false;
+            }
+            inner.parked = true;
+            true
+        }
+
+        /// Ends a wait begun with [`Receiver::park`]: later sends no
+        /// longer call the waker.
+        pub fn unpark(&self) {
+            self.shared.inner.lock().unwrap().parked = false;
+        }
+
         /// Blocks up to `timeout` for a value.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
@@ -172,12 +234,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                inner.blocked += 1;
                 let (guard, result) = self
                     .shared
                     .cond
                     .wait_timeout(inner, deadline - now)
                     .unwrap();
                 inner = guard;
+                inner.blocked -= 1;
                 if result.timed_out() && inner.queue.is_empty() {
                     return if inner.senders == 0 {
                         Err(RecvTimeoutError::Disconnected)
@@ -207,6 +271,7 @@ pub mod channel {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
         use std::thread;
 
         #[test]
@@ -238,6 +303,71 @@ pub mod channel {
             let (tx, rx) = bounded::<u8>(1);
             drop(rx);
             assert_eq!(tx.send(9), Err(SendError(9)));
+        }
+
+        fn counting_waker() -> (Waker, Arc<AtomicUsize>) {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let c = Arc::clone(&calls);
+            let waker: Waker = Arc::new(move || {
+                c.fetch_add(1, SeqCst);
+            });
+            (waker, calls)
+        }
+
+        #[test]
+        fn send_while_parked_calls_the_waker_exactly_once() {
+            let (tx, rx) = unbounded();
+            let (waker, calls) = counting_waker();
+            rx.set_waker(waker);
+            tx.send(0).unwrap();
+            assert_eq!(calls.load(SeqCst), 0, "not parked");
+            assert_eq!(rx.try_recv(), Ok(0));
+            assert!(rx.park());
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            assert_eq!(calls.load(SeqCst), 1, "once per park");
+            rx.unpark();
+            assert!(!rx.park(), "values are queued");
+            assert_eq!(rx.try_recv(), Ok(1));
+            assert_eq!(rx.try_recv(), Ok(2));
+            assert!(rx.park());
+            rx.unpark();
+            tx.send(3).unwrap();
+            assert_eq!(calls.load(SeqCst), 1, "unparked");
+        }
+
+        #[test]
+        fn park_refuses_while_a_message_is_queued() {
+            let (tx, rx) = unbounded();
+            tx.send(7).unwrap();
+            assert!(!rx.park());
+            assert_eq!(rx.try_recv(), Ok(7));
+            assert!(rx.park());
+        }
+
+        #[test]
+        fn last_sender_drop_wakes_a_parked_receiver_into_disconnected() {
+            let (tx, rx) = unbounded::<u8>();
+            let (waker, calls) = counting_waker();
+            rx.set_waker(waker);
+            let tx2 = tx.clone();
+            assert!(rx.park());
+            drop(tx);
+            assert_eq!(calls.load(SeqCst), 0, "a sender remains");
+            drop(tx2);
+            assert_eq!(calls.load(SeqCst), 1);
+            rx.unpark();
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+            assert!(!rx.park(), "nothing could ever wake it");
+        }
+
+        #[test]
+        fn blocked_receiver_is_still_notified() {
+            let (tx, rx) = unbounded();
+            let t = thread::spawn(move || rx.recv_timeout(Duration::from_secs(10)));
+            thread::sleep(Duration::from_millis(20));
+            tx.send(4).unwrap();
+            assert_eq!(t.join().unwrap(), Ok(4));
         }
 
         #[test]
