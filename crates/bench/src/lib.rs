@@ -9,8 +9,7 @@
 //! * `cargo run -p tpc-bench --bin gen_figures` prints the Figure 1–8
 //!   protocol traces.
 //! * `cargo bench -p tpc-bench` measures the same scenarios under
-//!   Criterion (wall-time of the simulated protocol runs plus substrate
-//!   microbenchmarks).
+//!   Criterion (wall-time of the simulated protocol runs).
 //!
 //! The row-building code lives here so the binaries, the benches and the
 //! documentation all report the same numbers.

@@ -4,7 +4,7 @@
 //! message alone rarely explains *how* the cluster got there. Each node
 //! keeps a small ring of the protocol-relevant events that preceded the
 //! failure — decisions, forced writes, in-doubt transitions, WAL health
-//! changes, admission rejections — and `tpc_runtime::verify::check` dumps
+//! changes, degraded-mode rejections — and `tpc_runtime::verify::check` dumps
 //! the rings automatically when a violation is detected. The same dump is
 //! served live as JSON at `/debug/flight`.
 //!
@@ -35,7 +35,7 @@ pub enum FlightKind {
     InDoubtResolve,
     /// WAL health changed (degraded entered, fail-stop, I/O error).
     WalHealth,
-    /// A request was rejected (admission control or degraded refusal).
+    /// A request was refused by a node degraded to read-only.
     Rejection,
 }
 

@@ -34,8 +34,8 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use prometheus::{render_prometheus, NodeExport};
 pub use span::{Phase, Span};
 pub use timeline::{
-    render_timeline_json, GaugeStat, Timeline, TimelineCounter, TimelineGauge, TimelineHist,
-    TimelineSnapshot, WindowSnapshot,
+    render_timeline_json, GaugeStat, Timeline, TimelineCounter, TimelineGauge, TimelineSnapshot,
+    WindowSnapshot,
 };
 pub use trace_json::render_chrome_trace;
 

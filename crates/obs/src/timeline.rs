@@ -42,7 +42,7 @@ pub enum TimelineCounter {
     Committed = 0,
     /// Transactions that aborted.
     Aborted = 1,
-    /// Arrivals rejected (admission control or degraded-mode refusal).
+    /// Transactions refused by a node degraded to read-only.
     Rejected = 2,
     /// Forced log writes requested.
     Forces = 3,
@@ -97,23 +97,17 @@ pub enum TimelineGauge {
     ForceQueue = 2,
     /// TCP sender backlog: frames enqueued but not yet written.
     SendBacklog = 3,
-    /// Open-loop admission queue depth.
-    AdmitQueue = 4,
-    /// Transactions in flight at the workload driver.
-    InFlight = 5,
     /// Transactions parked in lock wait queues.
-    LockWaiters = 6,
+    LockWaiters = 4,
 }
 
 impl TimelineGauge {
     /// All gauges, bucket-array order.
-    pub const ALL: [TimelineGauge; 7] = [
+    pub const ALL: [TimelineGauge; 5] = [
         TimelineGauge::LaneInbox,
         TimelineGauge::GroupBatch,
         TimelineGauge::ForceQueue,
         TimelineGauge::SendBacklog,
-        TimelineGauge::AdmitQueue,
-        TimelineGauge::InFlight,
         TimelineGauge::LockWaiters,
     ];
 
@@ -124,57 +118,15 @@ impl TimelineGauge {
             TimelineGauge::GroupBatch => "group_batch",
             TimelineGauge::ForceQueue => "force_queue",
             TimelineGauge::SendBacklog => "send_backlog",
-            TimelineGauge::AdmitQueue => "admit_queue",
-            TimelineGauge::InFlight => "in_flight",
             TimelineGauge::LockWaiters => "lock_waiters",
-        }
-    }
-}
-
-/// Per-window latency histograms: one per protocol [`Phase`] plus
-/// end-to-end commit latency (arrival → outcome) from the workload driver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum TimelineHist {
-    /// Same taxonomy as the cumulative phase histograms.
-    Phase(Phase),
-    /// End-to-end commit latency measured from arrival.
-    Commit,
-}
-
-/// Number of histogram slots per bucket: the six phases plus commit.
-const HISTS: usize = Phase::ALL.len() + 1;
-
-impl TimelineHist {
-    fn index(self) -> usize {
-        match self {
-            TimelineHist::Phase(p) => p as usize,
-            TimelineHist::Commit => HISTS - 1,
-        }
-    }
-
-    /// All histogram slots, bucket-array order.
-    pub const ALL: [TimelineHist; HISTS] = [
-        TimelineHist::Phase(Phase::Work),
-        TimelineHist::Phase(Phase::Prepare),
-        TimelineHist::Phase(Phase::Decision),
-        TimelineHist::Phase(Phase::Ack),
-        TimelineHist::Phase(Phase::Fsync),
-        TimelineHist::Phase(Phase::GroupFlush),
-        TimelineHist::Commit,
-    ];
-
-    /// Stable lowercase name used in JSON keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            TimelineHist::Phase(p) => p.name(),
-            TimelineHist::Commit => "commit",
         }
     }
 }
 
 const COUNTERS: usize = TimelineCounter::ALL.len();
 const GAUGES: usize = TimelineGauge::ALL.len();
+/// One per-window latency histogram per protocol [`Phase`].
+const HISTS: usize = Phase::ALL.len();
 
 /// One sampled-statistics cell for a gauge within a window.
 struct GaugeCell {
@@ -346,16 +298,11 @@ impl Timeline {
         }
     }
 
-    /// Record a latency value into a window histogram.
-    pub fn record(&self, hist: TimelineHist, micros: u64, now: SimTime) {
-        if let Some(b) = self.bucket_at(now) {
-            b.hists[hist.index()].record(micros);
-        }
-    }
-
-    /// Phase-latency shorthand used by [`crate::Obs::record_at`].
+    /// Record a phase latency into the window containing `now`.
     pub fn record_phase(&self, phase: Phase, micros: u64, now: SimTime) {
-        self.record(TimelineHist::Phase(phase), micros, now);
+        if let Some(b) = self.bucket_at(now) {
+            b.hists[phase as usize].record(micros);
+        }
     }
 
     /// Copy-out of every live window, oldest first. `now` only brands the
@@ -399,7 +346,7 @@ pub struct WindowSnapshot {
     pub counters: [u64; COUNTERS],
     /// Gauge statistics, [`TimelineGauge::ALL`] order.
     pub gauges: [GaugeStat; GAUGES],
-    /// Latency histograms, [`TimelineHist::ALL`] order.
+    /// Phase latency histograms, [`Phase::ALL`] order.
     pub hists: [HistogramSnapshot; HISTS],
 }
 
@@ -414,14 +361,14 @@ impl WindowSnapshot {
         self.gauges[g as usize]
     }
 
-    /// Histogram for this window.
-    pub fn hist(&self, h: TimelineHist) -> &HistogramSnapshot {
-        &self.hists[h.index()]
+    /// One phase's latency histogram for this window.
+    pub fn hist(&self, phase: Phase) -> &HistogramSnapshot {
+        &self.hists[phase as usize]
     }
 }
 
 /// Plain-data copy of a [`Timeline`]: what travels in node summaries and
-/// renders as the `/timeline` endpoint and the bench `timeline` section.
+/// renders as the `/timeline` endpoint.
 #[derive(Clone, Debug, Default)]
 pub struct TimelineSnapshot {
     /// Window width, microseconds.
@@ -440,13 +387,13 @@ impl TimelineSnapshot {
         self.windows.iter().map(|w| w.counter(c)).sum()
     }
 
-    /// Bucket-wise merge of one histogram across every retained window.
-    /// With a ring large enough that nothing was evicted, this equals the
-    /// cumulative histogram exactly.
-    pub fn hist_total(&self, h: TimelineHist) -> HistogramSnapshot {
+    /// Bucket-wise merge of one phase histogram across every retained
+    /// window. With a ring large enough that nothing was evicted, this
+    /// equals the cumulative histogram exactly.
+    pub fn hist_total(&self, phase: Phase) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::default();
         for w in &self.windows {
-            out.merge(w.hist(h));
+            out.merge(w.hist(phase));
         }
         out
     }
@@ -526,15 +473,15 @@ pub fn render_timeline_json(snap: &TimelineSnapshot) -> String {
             );
         }
         out.push_str("},\"latency\":{");
-        for (i, h) in TimelineHist::ALL.iter().enumerate() {
+        for (i, p) in Phase::ALL.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let s = w.hist(*h);
+            let s = w.hist(*p);
             let _ = write!(
                 out,
                 "\"{}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                h.name(),
+                p.name(),
                 s.count,
                 s.sum,
                 s.p50(),
@@ -591,10 +538,10 @@ mod tests {
     fn gauge_stats_track_last_max_mean() {
         let t = Timeline::new(1_000, 4);
         for (v, at) in [(3u64, 10u64), (9, 20), (1, 30)] {
-            t.gauge(TimelineGauge::AdmitQueue, v, SimTime(at));
+            t.gauge(TimelineGauge::LaneInbox, v, SimTime(at));
         }
         let snap = t.snapshot(SimTime(100));
-        let g = snap.windows[0].gauge(TimelineGauge::AdmitQueue);
+        let g = snap.windows[0].gauge(TimelineGauge::LaneInbox);
         assert_eq!(g.last, 1);
         assert_eq!(g.max, 9);
         assert_eq!(g.sum, 13);
@@ -610,9 +557,7 @@ mod tests {
             t.record_phase(Phase::Prepare, v, SimTime(i * 20));
             all.record(v);
         }
-        let merged = t
-            .snapshot(SimTime(4_000))
-            .hist_total(TimelineHist::Phase(Phase::Prepare));
+        let merged = t.snapshot(SimTime(4_000)).hist_total(Phase::Prepare);
         let expect = all.snapshot();
         assert_eq!(merged.buckets, expect.buckets);
         assert_eq!(merged.count, expect.count);
@@ -625,14 +570,14 @@ mod tests {
         let t = Timeline::new(1_000, 4);
         t.inc(TimelineCounter::Committed, 3, SimTime(100));
         t.gauge(TimelineGauge::LaneInbox, 5, SimTime(200));
-        t.record(TimelineHist::Commit, 250, SimTime(300));
+        t.record_phase(Phase::Decision, 250, SimTime(300));
         let a = render_timeline_json(&t.snapshot(SimTime(1_000)));
         let b = render_timeline_json(&t.snapshot(SimTime(1_000)));
         assert_eq!(a, b);
         assert!(a.contains("\"window_us\":1000"));
         assert!(a.contains("\"committed\":3"));
         assert!(a.contains("\"lane_inbox\":{\"last\":5"));
-        assert!(a.contains("\"commit\":{\"count\":1,\"sum\":250"));
+        assert!(a.contains("\"decision\":{\"count\":1,\"sum\":250"));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tpc_common::{NodeId, SimTime, TxnId};
-use tpc_obs::{Obs, Phase, Timeline, TimelineCounter, TimelineHist};
+use tpc_obs::{Obs, Phase, Timeline, TimelineCounter};
 
 /// One randomized recording action against the shared `Obs`.
 #[derive(Clone, Copy, Debug)]
@@ -66,7 +66,7 @@ proptest! {
 
         // Per-phase histograms: bucket-for-bucket identical.
         for (phase, cum_hist) in &cumulative.phases {
-            let windowed = tl.hist_total(TimelineHist::Phase(*phase));
+            let windowed = tl.hist_total(*phase);
             prop_assert_eq!(&windowed, cum_hist, "phase {}", phase.name());
         }
 

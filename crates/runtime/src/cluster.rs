@@ -19,8 +19,6 @@ use crate::node::{
     NodeWorker, Transport,
 };
 use crate::signal::ClusterSignal;
-use crate::workload::{run_closed_loop, run_open_loop, OpenLoopReport, OpenLoopSpec};
-use crate::workload::{WorkloadReport, WorkloadSpec};
 
 /// How long cluster-level blocking requests (commit, read, summary) wait
 /// for a reply before reporting [`Error::Timeout`] instead of hanging on
@@ -530,49 +528,6 @@ impl LiveCluster {
             .is_some()
     }
 
-    /// Drives a closed-loop concurrent workload: `spec.concurrency` slots
-    /// each keep one transaction in flight via `commit_async`, rooting at
-    /// nodes `0..n-1` round-robin and writing a disjoint key at the last
-    /// node (the shared "server" participant). This is what actually
-    /// fills group-commit batches — sequential commits never overlap at
-    /// the log.
-    pub fn run_workload(&self, spec: &WorkloadSpec) -> WorkloadReport {
-        assert!(self.len() >= 2, "workload needs a root and a server node");
-        let server = NodeId((self.len() - 1) as u32);
-        let roots = self.len() - 1;
-        run_closed_loop(spec.concurrency, spec.txns, |slot, i| {
-            let root = NodeId((slot % roots) as u32);
-            let t = self.begin(root);
-            let key = format!("{}-{slot}-{i}", spec.key_prefix);
-            t.work(server, vec![Op::put(&key, &i.to_string())]);
-            t.commit_async().wait(spec.reply_timeout)
-        })
-    }
-
-    /// Drives an open-loop workload: transactions arrive at
-    /// `spec.arrival_rate` per second regardless of completion (the
-    /// generator does not wait for one txn before issuing the next),
-    /// roots round-robin over nodes `0..n-1`, and each txn writes one
-    /// zipf-drawn tenant key at the last node. Admission control bounds
-    /// the in-flight population at `spec.max_in_flight` and the arrival
-    /// backlog at `spec.queue_cap`; beyond that arrivals are *rejected*
-    /// and counted, so overload degrades into bounded queueing +
-    /// explicit rejections instead of collapse.
-    pub fn run_open_loop(&self, spec: &OpenLoopSpec) -> OpenLoopReport {
-        assert!(self.len() >= 2, "workload needs a root and a server node");
-        let server = NodeId((self.len() - 1) as u32);
-        let roots = self.len() - 1;
-        run_open_loop(spec, |arrival| {
-            let root = NodeId((arrival.index % roots) as u32);
-            let t = self.begin(root);
-            t.work(
-                server,
-                vec![Op::put(&arrival.key, &arrival.index.to_string())],
-            );
-            t.commit_async()
-        })
-    }
-
     /// Renders the Prometheus text exposition for every live node:
     /// driver/WAL counters always, plus per-phase latency histograms for
     /// nodes built with [`LiveNodeConfig::with_observability`]. Killed
@@ -726,15 +681,6 @@ pub struct CommitWait {
 }
 
 impl CommitWait {
-    /// Assembles a wait from raw parts (workload tests drive the
-    /// open-loop reaper without a cluster).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn from_parts(rx: Receiver<CommitResult>, node: NodeId) -> Self {
-        CommitWait { rx, node }
-    }
-}
-
-impl CommitWait {
     /// Blocks until the outcome arrives; [`Error::NodeDown`] if the root
     /// died with the request in flight, [`Error::Timeout`] after
     /// `timeout`.
@@ -743,8 +689,8 @@ impl CommitWait {
     }
 
     /// Non-blocking completion check: `Ok(Some(..))` once the outcome
-    /// has arrived, `Ok(None)` while still in flight. The open-loop
-    /// workload reaps thousands of in-flight commits with this.
+    /// has arrived, `Ok(None)` while still in flight, so one thread can
+    /// reap many in-flight commits without blocking on any of them.
     pub fn poll(&self) -> Result<Option<CommitResult>> {
         match self.rx.try_recv() {
             Ok(r) => Ok(Some(r)),

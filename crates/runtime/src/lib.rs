@@ -55,10 +55,10 @@
 //!
 //! [`LiveNodeConfig::with_group_commit`] batches concurrent log forces
 //! into one physical flush per batch (the paper's group-commit
-//! optimization, live in the real WAL path), and
-//! [`LiveCluster::run_workload`] drives N closed-loop concurrent
-//! transactions to fill those batches. `cargo run -p tpc-bench --bin
-//! bench_throughput` measures the effect.
+//! optimization, live in the real WAL path). Batches fill only when
+//! commits overlap at the log: issue a wave of [`TxnHandle::commit_async`]
+//! calls before waiting on any of them. The repository benchmark's
+//! `seg_gc16` workload measures the effect.
 //!
 //! ## Observability
 //!
@@ -96,7 +96,6 @@ pub mod signal;
 pub mod tcp;
 mod timers;
 pub mod verify;
-mod workload;
 
 pub use cluster::{CommitWait, LiveCluster, TxnHandle};
 pub use fault::{FaultPlan, FaultStats, FaultyWire};
@@ -107,6 +106,3 @@ pub use node::{
 };
 pub use signal::ClusterSignal;
 pub use tpc_wal::{StorageFaultPlan, StorageFaultStats};
-pub use workload::{
-    Arrival, LatencySummary, OpenLoopReport, OpenLoopSpec, WorkloadReport, WorkloadSpec,
-};

@@ -1,8 +1,8 @@
 //! Progress signalling between node workers and cluster-level waiters.
 //!
 //! Cluster calls like `read_eventually` and `quiesce` used to poll on a
-//! fixed sleep. With a throughput-grade workload driver that burns a core
-//! (and wakes every node with summary requests) for nothing. Instead,
+//! fixed sleep. Under load that burns a core (and wakes every node with
+//! summary requests) for nothing. Instead,
 //! every worker bumps a shared [`ClusterSignal`] whenever it makes
 //! observable progress (processed a message, fired a timer, flushed a
 //! group-commit batch, exited); waiters block on the condvar and re-check

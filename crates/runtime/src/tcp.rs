@@ -65,7 +65,6 @@ use crate::node::{
     TransportCounter, TransportHealth,
 };
 use crate::signal::ClusterSignal;
-use crate::workload::{run_closed_loop, WorkloadReport, WorkloadSpec};
 
 /// Cap on bytes the sender thread coalesces into one write (keeps a
 /// slow peer from accumulating an unbounded batch in memory before the
@@ -1044,21 +1043,6 @@ impl TcpCluster {
             .is_some()
     }
 
-    /// Drives a closed-loop concurrent workload over real sockets — the
-    /// TCP twin of [`crate::LiveCluster::run_workload`].
-    pub fn run_workload(&self, spec: &WorkloadSpec) -> WorkloadReport {
-        assert!(self.len() >= 2, "workload needs a root and a server node");
-        let server = NodeId((self.len() - 1) as u32);
-        let roots = self.len() - 1;
-        run_closed_loop(spec.concurrency, spec.txns, |slot, i| {
-            let root = NodeId((slot % roots) as u32);
-            let t = self.begin(root);
-            let key = format!("{}-{slot}-{i}", spec.key_prefix);
-            t.work(server, vec![Op::put(&key, &i.to_string())]);
-            t.commit_async().wait_with(spec.reply_timeout)
-        })
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.senders.len()
@@ -1340,6 +1324,51 @@ mod tests {
         assert_eq!(c.read(sub, "ghost"), None);
         assert_eq!(c.read(sub, "warm"), Some(b"1".to_vec()));
         c.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_waves_commit_on_a_segmented_log_with_group_commit() {
+        // Two waves of 16 `commit_async` calls over sockets, rooted at
+        // nodes 0 and 1 in turn and writing at node 2, whose segmented
+        // log batches the forces that overlap.
+        const WAVES: usize = 2;
+        const IN_FLIGHT: usize = 16;
+        let dir = std::env::temp_dir().join(format!("tpc-tcp-waves-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let gc = tpc_common::config::GroupCommitConfig {
+            batch_size: 8,
+            max_wait: tpc_common::SimDuration::from_millis(1),
+            adaptive: false,
+        };
+        let cfg = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
+            .with_segmented_log(&dir)
+            .with_group_commit(Some(gc));
+        let c = TcpCluster::start(vec![cfg; 3]).expect("bind loopback");
+        let mut outcomes = Vec::new();
+        for wave in 0..WAVES {
+            let waits: Vec<_> = (0..IN_FLIGHT)
+                .map(|i| {
+                    let root = NodeId((i % 2) as u32);
+                    let t = c.begin(root);
+                    let txn = t.id();
+                    t.work(NodeId(2), vec![Op::put(&format!("w{wave}-{i}"), "v")]);
+                    (txn, root, t.commit_async())
+                })
+                .collect();
+            for (txn, root, wait) in waits {
+                let r = wait.wait_with(Duration::from_secs(20)).expect("root alive");
+                assert_eq!(r.outcome, Outcome::Commit, "wave {wave}");
+                outcomes.push(crate::verify::outcome_record(txn, root, &r));
+            }
+        }
+        assert!(c.quiesce(Duration::from_secs(20)), "must quiesce");
+        let summaries = c.shutdown();
+        let group = summaries[2].group;
+        assert!(group.requests >= outcomes.len() as u64, "{group:?}");
+        let (violations, unresolved) = crate::verify::check(&summaries, &outcomes);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert!(unresolved.is_empty(), "{unresolved:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

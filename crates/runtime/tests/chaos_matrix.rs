@@ -317,54 +317,89 @@ fn in_doubt_window_covers_the_outage() {
     // entry time in the WAL, and only closes when the outcome arrives
     // after recovery. The recorded duration must therefore dominate the
     // enforced dead time, and the restart must surface recovery
-    // telemetry for exactly that one in-doubt transaction.
+    // telemetry for the in-doubt transaction. Every protocol, on a
+    // one-lane node over TCP and on a four-lane node over channels.
+    for protocol in PROTOCOLS {
+        for tcp in [true, false] {
+            in_doubt_case(protocol, tcp);
+        }
+    }
+}
+
+fn in_doubt_case(protocol: ProtocolKind, tcp: bool) {
     let outage = Duration::from_millis(80);
-    let dir = temp_dir("indoubt");
+    let lanes = if tcp { 1 } else { 4 };
+    let ctx = format!("{protocol:?} lanes={lanes} tcp={tcp}");
+    let dir = temp_dir(&format!("indoubt-{protocol:?}-{tcp}"));
     let root = NodeId(0);
     let victim = NodeId(1);
-    let mut c = LiveCluster::start(vec![
-        LiveNodeConfig::new(ProtocolKind::PresumedAbort)
+    let cfg = || {
+        LiveNodeConfig::new(protocol)
             .with_observability()
             .with_file_log(&dir)
-            .with_timeouts(chaos_timeouts()),
-        LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_observability()
-            .with_file_log(&dir)
+            .with_lanes(lanes)
             .with_timeouts(chaos_timeouts())
-            .kill_after_frames(2),
-    ])
-    .with_reply_timeout(Duration::from_secs(20));
+    };
+    let configs = vec![cfg(), cfg().kill_after_frames(2), cfg()];
+    let work = [(victim, "window/a"), (NodeId(2), "window/b")];
+    let reply_timeout = Duration::from_secs(20);
 
-    let t = c.begin(root);
-    t.work(victim, vec![Op::put("window", "v")]);
-    let wait = t.commit_async();
+    // The two clusters share the choreography but not a type.
+    let (outcome, s) = if tcp {
+        let mut c = TcpCluster::start(configs)
+            .expect("bind loopback")
+            .with_reply_timeout(reply_timeout);
+        let t = c.begin(root);
+        for (node, key) in work {
+            t.work(node, vec![Op::put(key, "v")]);
+        }
+        let wait = t.commit_async();
+        c.await_death(victim, Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("{ctx}: victim dies after voting: {e}"));
+        std::thread::sleep(outage);
+        c.restart(victim).expect("restart from WAL");
+        let result = wait.wait_with(reply_timeout).expect("root answers");
+        assert!(c.quiesce(reply_timeout), "{ctx}: must quiesce");
+        let s = c.summary(victim).expect("victim summary");
+        c.shutdown();
+        (result.outcome, s)
+    } else {
+        let mut c = LiveCluster::start(configs).with_reply_timeout(reply_timeout);
+        let t = c.begin(root);
+        for (node, key) in work {
+            t.work(node, vec![Op::put(key, "v")]);
+        }
+        let wait = t.commit_async();
+        c.await_death(victim, Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("{ctx}: victim dies after voting: {e}"));
+        std::thread::sleep(outage);
+        c.restart(victim).expect("restart from the shared WAL");
+        let result = wait.wait(reply_timeout).expect("root answers");
+        assert!(c.quiesce(reply_timeout), "{ctx}: must quiesce");
+        let s = c.summary(victim).expect("victim summary");
+        c.shutdown();
+        (result.outcome, s)
+    };
+    let _ = std::fs::remove_dir_all(&dir);
 
-    c.await_death(victim, Duration::from_secs(10))
-        .expect("victim dies after voting");
-    std::thread::sleep(outage);
-    c.restart(victim).expect("restart from WAL");
-
-    let result = wait.wait(Duration::from_secs(20)).expect("root answers");
-    assert_eq!(result.outcome, Outcome::Commit);
-    assert!(c.quiesce(Duration::from_secs(20)), "must quiesce");
-
-    let s = c.summary(victim).expect("victim summary");
+    assert_eq!(outcome, Outcome::Commit, "{ctx}");
     let obs = s.obs.expect("observability was on");
-    assert_eq!(obs.in_doubt.count, 1, "exactly one in-doubt window");
-    assert_eq!(obs.in_doubt_current, 0, "window closed after recovery");
+    assert_eq!(obs.in_doubt.count, 1, "{ctx}: exactly one in-doubt window");
+    assert_eq!(obs.in_doubt_current, 0, "{ctx}: window open after recovery");
     assert!(
         obs.in_doubt.max >= outage.as_micros() as u64,
-        "in-doubt window ({} µs) must cover the outage ({} µs)",
+        "{ctx}: in-doubt window ({} µs) must cover the outage ({} µs)",
         obs.in_doubt.max,
         outage.as_micros()
     );
     let rec = s.recovery.expect("restart recorded recovery stats");
-    assert_eq!(rec.in_doubt_recovered, 1);
-    assert_eq!(rec.queries_sent, 1);
-    assert!(rec.wal_records_scanned >= 1);
-
-    c.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(rec.in_doubt_recovered, 1, "{ctx}: {rec:?}");
+    assert!(rec.wal_records_scanned >= 1, "{ctx}: {rec:?}");
+    if protocol != ProtocolKind::PresumedNothing {
+        // The restarted subordinate asks for the outcome, once. Under PN
+        // the root's ack-collection re-drive usually answers it first.
+        assert_eq!(rec.queries_sent, 1, "{ctx}: {rec:?}");
+    }
 }
 
 #[test]

@@ -427,24 +427,3 @@ fn restarted_lane_flushes_the_batch_recovery_opened() {
     assert!(wal.is_empty(), "{wal:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn run_workload_reports_throughput_and_latency() {
-    // The workload driver itself: a small closed-loop run over the
-    // public API, checking the report's bookkeeping.
-    let gc = GroupCommitConfig {
-        batch_size: 4,
-        max_wait: SimDuration::from_millis(2),
-        adaptive: false,
-    };
-    let cfg = LiveNodeConfig::new(ProtocolKind::PresumedAbort).with_group_commit(Some(gc));
-    let c = LiveCluster::start(vec![cfg.clone(), cfg.clone(), cfg]);
-    let report = c.run_workload(&tpc_runtime::WorkloadSpec::new(8, 80));
-    assert_eq!(report.committed, 80, "disjoint keys: all must commit");
-    assert_eq!(report.failed, 0);
-    assert_eq!(report.latency.count, 80);
-    assert!(report.txns_per_sec() > 0.0);
-    assert!(report.latency.p50_us <= report.latency.p99_us);
-    assert!(c.quiesce(Duration::from_secs(20)));
-    c.shutdown();
-}

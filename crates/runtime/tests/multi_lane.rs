@@ -1,11 +1,11 @@
 //! Multi-lane cluster behavior: lane routing, shared-RM correctness
-//! under cross-lane conflicts, node-level summary rollup, and the
-//! open-loop generator's admission control against a real cluster.
+//! under cross-lane conflicts, node-level summary rollup, and waves of
+//! concurrent commits against a real cluster.
 
 use std::time::Duration;
 
 use tpc_common::{NodeId, Op, Outcome, ProtocolKind};
-use tpc_runtime::{lane_of, LiveCluster, LiveNodeConfig, OpenLoopSpec};
+use tpc_runtime::{lane_of, LiveCluster, LiveNodeConfig};
 
 fn lanes_cluster(n: usize, lanes: usize, protocol: ProtocolKind) -> LiveCluster {
     LiveCluster::start(vec![LiveNodeConfig::new(protocol).with_lanes(lanes); n])
@@ -130,58 +130,43 @@ fn kill_and_restart_replays_the_shared_wal_across_lanes() {
 }
 
 #[test]
-fn open_loop_under_capacity_completes_cleanly() {
+fn concurrent_waves_on_two_lanes_complete_cleanly() {
+    // 300 transactions in waves of 64 `commit_async` calls, rooted at
+    // nodes 0 and 1 in turn and writing at node 2. Every other
+    // transaction picks one of four hot keys, so the server's lanes
+    // contend on the shared RM while the rest write keys of their own.
+    const TXNS: usize = 300;
+    const IN_FLIGHT: usize = 64;
     let c = lanes_cluster(3, 2, ProtocolKind::PresumedAbort);
-    let spec = OpenLoopSpec {
-        arrival_rate: 2_000.0,
-        txns: 300,
-        max_in_flight: 64,
-        queue_cap: 512,
-        zipf_theta: 0.99,
-        tenants: 4,
-        keys_per_tenant: 100,
-        reply_timeout: Duration::from_secs(10),
-        key_prefix: "ul".into(),
-        seed: 1,
-    };
-    let report = c.run_open_loop(&spec);
-    assert_eq!(report.rejected, 0, "under capacity nothing is rejected");
-    assert_eq!(report.failed, 0, "{report:?}");
-    assert_eq!(report.committed + report.aborted, 300);
-    assert!(report.committed > 0);
-    c.shutdown();
-}
-
-#[test]
-fn open_loop_saturation_degrades_into_bounded_queueing_and_rejections() {
-    // Offered load far beyond what 3 nodes on one box can absorb, with
-    // tight admission control: the run must terminate with every arrival
-    // accounted for and the queue/in-flight populations bounded.
-    let c = lanes_cluster(3, 2, ProtocolKind::PresumedAbort);
-    let spec = OpenLoopSpec {
-        arrival_rate: 200_000.0,
-        txns: 2_000,
-        max_in_flight: 32,
-        queue_cap: 64,
-        zipf_theta: 0.0,
-        tenants: 4,
-        keys_per_tenant: 1_000,
-        reply_timeout: Duration::from_secs(10),
-        key_prefix: "sat".into(),
-        seed: 2,
-    };
-    let report = c.run_open_loop(&spec);
-    assert!(
-        report.rejected > 0,
-        "saturation must surface as explicit rejections: {report:?}"
-    );
-    assert!(report.max_queue_depth <= spec.queue_cap);
-    assert!(report.max_in_flight_seen <= spec.max_in_flight);
-    assert_eq!(
-        report.committed + report.aborted + report.failed + report.rejected,
-        2_000,
-        "every arrival accounted: {report:?}"
-    );
-    assert!(report.committed > 0, "the admitted fraction still commits");
-    c.shutdown();
+    let server = NodeId(2);
+    let (mut committed, mut aborted) = (0, 0);
+    for start in (0..TXNS).step_by(IN_FLIGHT) {
+        let waits: Vec<_> = (start..TXNS.min(start + IN_FLIGHT))
+            .map(|i| {
+                let t = c.begin(NodeId((i % 2) as u32));
+                let key = match i % 2 {
+                    0 => format!("hot-{}", i / 2 % 4),
+                    _ => format!("cold-{i}"),
+                };
+                t.work(server, vec![Op::put(&key, &i.to_string())]);
+                t.commit_async()
+            })
+            .collect();
+        for wait in waits {
+            let r = wait.wait(Duration::from_secs(10)).expect("typed outcome");
+            if r.outcome == Outcome::Commit {
+                committed += 1;
+            } else {
+                aborted += 1;
+            }
+        }
+    }
+    assert_eq!(committed + aborted, TXNS);
+    assert!(committed > 0, "{aborted} of {TXNS} aborted");
+    // The root answers a PA commit before the subordinates' acks land,
+    // so the roots still hold transactions until the cluster quiesces.
+    assert!(c.quiesce(Duration::from_secs(10)), "must quiesce");
+    for s in c.shutdown() {
+        assert_eq!(s.active_txns, 0, "{:?}", s.node);
+    }
 }

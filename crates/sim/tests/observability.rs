@@ -194,7 +194,7 @@ fn virtual_clock_timelines_are_deterministic() {
         // Window deltas resum to the cumulative view.
         let cumulative = a.obs_snapshot(node).expect("observed run");
         for phase in [Phase::Work, Phase::Prepare, Phase::Fsync] {
-            let windowed = ta.hist_total(tpc_obs::TimelineHist::Phase(phase));
+            let windowed = ta.hist_total(phase);
             match cumulative.phase(phase) {
                 Some(h) => assert_eq!(
                     &windowed, h,

@@ -127,7 +127,7 @@ fn main() {
         "\"gauges\":{",
         "\"lane_inbox\":",
         "\"latency\":{",
-        "\"commit\":",
+        "\"prepare\":",
     ] {
         assert!(timeline.contains(family), "missing {family} in {timeline}");
     }
