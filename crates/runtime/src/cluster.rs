@@ -1,6 +1,9 @@
-//! The in-process live cluster: one thread per node, crossbeam channels
-//! as the network, with kill / restart / fault-injection controls for
-//! chaos testing.
+//! The live cluster: one thread per node lane, with kill / restart /
+//! fault-injection controls for chaos testing. The cluster is generic
+//! over how frames travel ([`Net`]): [`LiveCluster`] runs over crossbeam
+//! channels ([`ChannelNet`]), [`crate::tcp::TcpCluster`] over loopback
+//! sockets ([`crate::tcp::TcpNet`]). Starting, killing, restarting and
+//! every request are one code path for both.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,7 +13,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use tpc_common::{Error, NodeId, Op, PooledBuf, Result, TxnId};
 use tpc_rm::SharedRm;
-use tpc_wal::{LogManager, SharedLog};
+use tpc_wal::SharedLog;
 
 use crate::fault::{FaultPlan, FaultStats, FaultyWire};
 use crate::node::{
@@ -24,6 +27,46 @@ use crate::signal::ClusterSignal;
 /// for a reply before reporting [`Error::Timeout`] instead of hanging on
 /// a dead or wedged node.
 const DEFAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How a cluster's frames travel: the factory the cluster asks for each
+/// lane's transport, and the two hooks a network with an inbound side of
+/// its own (TCP's sockets) needs. Channel delivery needs neither hook.
+pub trait Net {
+    /// The transport one lane sends and receives through.
+    type Transport: Transport;
+
+    /// Builds the transport of one of `node`'s lanes.
+    /// `inboxes[node][lane]` is every lane's inbound channel.
+    fn transport(&self, node: NodeId, inboxes: &[Vec<Sender<Inbound>>]) -> Self::Transport;
+
+    /// Hooks one of `node`'s inbound channels into the network, so a
+    /// message on it wakes a lane parked in its transport.
+    fn attach(&self, node: NodeId, inbox: &Receiver<Inbound>) {
+        let _ = (node, inbox);
+    }
+
+    /// At restart: drops whatever the network still holds for `node`'s
+    /// dead incarnation (the dead process never received it).
+    fn discard_pending(&self, node: NodeId) {
+        let _ = node;
+    }
+}
+
+/// The in-process network: frames travel over crossbeam channels,
+/// straight into the receiving lane's inbox.
+#[derive(Debug)]
+pub struct ChannelNet;
+
+impl Net for ChannelNet {
+    type Transport = ChannelTransport;
+
+    fn transport(&self, node: NodeId, inboxes: &[Vec<Sender<Inbound>>]) -> ChannelTransport {
+        ChannelTransport {
+            me: node,
+            peers: inboxes.to_vec(),
+        }
+    }
+}
 
 /// Transport over crossbeam channels: every node holds senders to all
 /// peers' lanes.
@@ -50,8 +93,9 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// A running in-process cluster.
-pub struct LiveCluster {
+/// A running cluster whose frames travel over `N`.
+pub struct Cluster<N> {
+    net: N,
     /// `senders[node][lane]` — lane 0 always exists.
     senders: Vec<Vec<Sender<Inbound>>>,
     /// Clones of the workers' inbound receivers, kept so a killed node's
@@ -66,16 +110,22 @@ pub struct LiveCluster {
     lanes: usize,
     configs: Vec<LiveNodeConfig>,
     downstream: Vec<Vec<NodeId>>,
+    /// Each node's outbound fault plan, taken by its first incarnation.
+    faults: Vec<Option<FaultPlan>>,
     fault_stats: Vec<Option<Arc<FaultStats>>>,
     epoch: Instant,
     next_seq: Arc<AtomicU64>,
     reply_timeout: Duration,
     /// Bumped by workers on observable progress; cluster-level waits
     /// block on it instead of sleep-polling.
-    signal: Arc<ClusterSignal>,
+    pub(crate) signal: Arc<ClusterSignal>,
 }
 
-impl LiveCluster {
+/// The in-process cluster: every node is a thread (one per lane) and
+/// frames travel over crossbeam channels.
+pub type LiveCluster = Cluster<ChannelNet>;
+
+impl Cluster<ChannelNet> {
     /// Starts one thread per config with no standing partners: commit
     /// trees are built purely from the work actually exchanged. Standing
     /// partnership (the LU 6.2 conversation structure that the leave-out
@@ -100,6 +150,18 @@ impl LiveCluster {
         partners: &[(usize, usize)],
         faults: Vec<Option<FaultPlan>>,
     ) -> Self {
+        Self::launch(ChannelNet, configs, partners, faults)
+    }
+}
+
+impl<N: Net> Cluster<N> {
+    /// Opens every lane's inbox on `net` and starts every node.
+    pub(crate) fn launch(
+        net: N,
+        configs: Vec<LiveNodeConfig>,
+        partners: &[(usize, usize)],
+        faults: Vec<Option<FaultPlan>>,
+    ) -> Self {
         assert_eq!(configs.len(), faults.len(), "one fault slot per node");
         let n = configs.len();
         let lanes = configs.first().map(|c| c.lanes.max(1)).unwrap_or(1);
@@ -110,18 +172,15 @@ impl LiveCluster {
         );
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut txs = Vec::with_capacity(lanes);
-            let mut rxs = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                let (tx, rx) = unbounded();
-                txs.push(tx);
-                rxs.push(rx);
+        for i in 0..n {
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..lanes).map(|_| unbounded()).unzip();
+            for rx in &rxs {
+                net.attach(NodeId(i as u32), rx);
             }
             senders.push(txs);
             receivers.push(rxs);
         }
-        let downstream: Vec<Vec<NodeId>> = (0..n)
+        let downstream = (0..n)
             .map(|i| {
                 partners
                     .iter()
@@ -130,88 +189,126 @@ impl LiveCluster {
                     .collect()
             })
             .collect();
-        let epoch = Instant::now();
-        let mut cluster = LiveCluster {
+        let mut cluster = Cluster {
+            net,
             senders,
             receivers,
             handles: (0..n).map(|_| (0..lanes).map(|_| None).collect()).collect(),
             lanes,
             configs,
             downstream,
+            faults,
             fault_stats: vec![None; n],
-            epoch,
+            epoch: Instant::now(),
             next_seq: Arc::new(AtomicU64::new(1)),
             reply_timeout: DEFAULT_REPLY_TIMEOUT,
             signal: Arc::new(ClusterSignal::new()),
         };
-        for (i, plan) in faults.iter().enumerate() {
-            let node = NodeId(i as u32);
-            if lanes == 1 {
-                let transport = cluster.make_transport(node, plan.clone());
-                let worker = NodeWorker::new(
-                    node,
-                    cluster.configs[i].clone(),
-                    cluster.downstream[i].clone(),
-                    transport,
-                    cluster.receivers[i][0].clone(),
-                    epoch,
-                    Arc::clone(&cluster.signal),
-                );
-                cluster.handles[i][0] =
-                    Some(spawn_worker(i, 0, 1, worker, Arc::clone(&cluster.signal)));
-                continue;
-            }
-            // Multi-lane: every lane shares one RM, one durable log
-            // (SharedLog clones) and one obs recorder; each lane runs
-            // its own driver thread on its own inbound channel.
-            let cfg = cluster.configs[i].clone();
-            let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
-            // Storage faults wrap the base device *inside* the SharedLog,
-            // so every lane's appends run through one fault stream,
-            // exactly as they share one physical disk.
-            let shared_tm = SharedLog::new(create_log(&cfg, node, LogRole::Tm));
-            let shared_rm_log: Option<SharedLog> = if cfg.opts.shared_log {
-                None
-            } else {
-                Some(SharedLog::new(create_log(&cfg, node, LogRole::Rm)))
-            };
-            let obs = make_obs(&cfg);
-            let health = Arc::new(IoHealth::default());
-            let ack_slot = Arc::new(AckSlot::default());
-            for lane in 0..lanes {
-                let transport = cluster.make_transport(node, plan.clone());
-                let parts = LaneParts {
-                    rm: Arc::clone(&rm),
-                    log: Box::new(shared_tm.clone()),
-                    rm_log: shared_rm_log
-                        .as_ref()
-                        .map(|l| Box::new(l.clone()) as Box<dyn LogManager + Send>),
-                    obs: obs.clone(),
-                    lane,
-                    lane_peers: cluster.senders[i].clone(),
-                    health: Arc::clone(&health),
-                    ack_slot: Some(Arc::clone(&ack_slot)),
-                };
-                let worker = NodeWorker::new_with_parts(
-                    node,
-                    cfg.clone(),
-                    cluster.downstream[i].clone(),
-                    transport,
-                    cluster.receivers[i][lane].clone(),
-                    epoch,
-                    Arc::clone(&cluster.signal),
-                    parts,
-                );
-                cluster.handles[i][lane] = Some(spawn_worker(
-                    i,
-                    lane,
-                    lanes,
-                    worker,
-                    Arc::clone(&cluster.signal),
-                ));
-            }
+        for i in 0..n {
+            cluster
+                .spawn_node(NodeId(i as u32), false)
+                .expect("a fresh node has nothing to recover");
         }
         cluster
+    }
+
+    /// Builds and spawns every lane of `node`. Fresh, the node gets new
+    /// logs; `recovered`, its durable WAL is reopened (classifying any
+    /// tail damage) and replayed once, and each lane resumes with exactly
+    /// the recovered transactions it owns (`lane_of`). A restarted node
+    /// comes back with a clean wire and healthy storage: its fault plans
+    /// belong to the original incarnation.
+    fn spawn_node(&mut self, node: NodeId, recovered: bool) -> Result<()> {
+        let i = node.index();
+        let mut cfg = self.configs[i].clone();
+        let plan = self.faults[i].take();
+        if recovered {
+            cfg.storage_faults = None;
+        }
+        let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
+        // Observability attaches before recovery so the recovered
+        // in-doubt windows re-open at their durable `prepared_at`
+        // instants (covering the outage, not just the tail after it).
+        let obs = make_obs(&cfg);
+        let (log, rm_log, resumed) = if recovered {
+            let (mut log, tm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Tm)?;
+            let mut damage = tail_counts(tm_tail);
+            let mut rm_log = None;
+            if !cfg.opts.shared_log {
+                let (l, rm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Rm)?;
+                let (t, c) = tail_counts(rm_tail);
+                damage = (damage.0 + t, damage.1 + c);
+                rm_log = Some(l);
+            }
+            let resumed = recover_lanes(
+                node,
+                &cfg,
+                &self.downstream[i],
+                &rm,
+                &mut log,
+                &mut rm_log,
+                obs.as_ref(),
+                self.epoch,
+                damage,
+            )?;
+            (log, rm_log, resumed)
+        } else {
+            // The RM log shares the TM log's durability class: a node
+            // whose TM log survives a crash but whose RM log does not
+            // could not honour its prepared guarantee.
+            let rm_log = (!cfg.opts.shared_log).then(|| create_log(&cfg, node, LogRole::Rm));
+            (create_log(&cfg, node, LogRole::Tm), rm_log, Vec::new())
+        };
+        // A one-lane node owns its logs outright, which keeps the
+        // SharedLog mutex off its append path. Lanes > 1 share one RM,
+        // one durable device (SharedLog clones, so storage faults run
+        // through one fault stream, as on one physical disk) and one
+        // ack-piggyback slot.
+        let (logs, ack_slot) = if self.lanes == 1 {
+            (vec![(log, rm_log)], None)
+        } else {
+            let tm = SharedLog::new(log);
+            let rm_log = rm_log.map(SharedLog::new);
+            let logs = (0..self.lanes)
+                .map(|_| {
+                    let rm_log = rm_log.clone().map(|l| Box::new(l) as _);
+                    (Box::new(tm.clone()) as _, rm_log)
+                })
+                .collect();
+            (logs, Some(Arc::new(AckSlot::default())))
+        };
+        let health = Arc::new(IoHealth::default());
+        let mut resumed = resumed.into_iter();
+        for (lane, (log, rm_log)) in logs.into_iter().enumerate() {
+            let transport = self.transport(node, plan.clone());
+            let parts = LaneParts {
+                rx: self.receivers[i][lane].clone(),
+                epoch: self.epoch,
+                signal: Arc::clone(&self.signal),
+                rm: Arc::clone(&rm),
+                log,
+                rm_log,
+                obs: obs.clone(),
+                lane,
+                lane_peers: self.senders[i].clone(),
+                health: Arc::clone(&health),
+                ack_slot: ack_slot.clone(),
+            };
+            let worker = match resumed.next() {
+                Some(rec) => NodeWorker::resume_with_parts(node, &cfg, transport, parts, rec)?,
+                None => {
+                    NodeWorker::new_with_parts(node, &cfg, &self.downstream[i], transport, parts)
+                }
+            };
+            self.handles[i][lane] = Some(spawn_worker(
+                i,
+                lane,
+                self.lanes,
+                worker,
+                Arc::clone(&self.signal),
+            ));
+        }
+        Ok(())
     }
 
     /// Replaces the reply deadline used by blocking requests.
@@ -220,11 +317,8 @@ impl LiveCluster {
         self
     }
 
-    fn make_transport(&mut self, node: NodeId, plan: Option<FaultPlan>) -> Box<dyn Transport> {
-        let base = ChannelTransport {
-            me: node,
-            peers: self.senders.clone(),
-        };
+    fn transport(&mut self, node: NodeId, plan: Option<FaultPlan>) -> Box<dyn Transport> {
+        let base = self.net.transport(node, &self.senders);
         match plan {
             Some(plan) => {
                 let wire = FaultyWire::new(base, plan);
@@ -257,6 +351,12 @@ impl LiveCluster {
             .any(|h| h.as_ref().is_some_and(|h| !h.is_finished()))
     }
 
+    /// True until `node` is killed (or found dead), and again once it
+    /// restarts: its lane workers have not been joined.
+    fn has_workers(&self, node: NodeId) -> bool {
+        self.handles[node.index()].iter().any(Option::is_some)
+    }
+
     /// Fault counters for `node`'s outbound wire, when it has one.
     pub fn fault_stats(&self, node: NodeId) -> Option<&FaultStats> {
         self.fault_stats[node.index()].as_deref()
@@ -267,36 +367,35 @@ impl LiveCluster {
     /// the node's partners are told the sessions failed, exactly as the
     /// simulator's crash event does. A multi-lane node dies as one
     /// process — its lanes share the RM and log buffers, so they go down
-    /// together. Returns the dying node's last summary (lanes folded).
+    /// together. The node's inbox stays open, like a crashed process's
+    /// port (over TCP, its listener and inbound connections): what peers
+    /// send meanwhile is discarded at restart. Returns the dying node's
+    /// last summary (lanes folded).
     pub fn kill(&mut self, node: NodeId) -> Result<NodeSummary> {
-        if !self.handles[node.index()].iter().any(|h| h.is_some()) {
+        if !self.has_workers(node) {
             return Err(Error::NodeDown(node));
         }
-        for lane in 0..self.lanes {
-            if self.handles[node.index()][lane].is_some() {
-                let _ = self.senders[node.index()][lane].send(Inbound::Kill);
-            }
-        }
-        let summary = self.join_node(node)?;
-        self.broadcast_partner_down(node);
-        Ok(summary)
+        self.bury(node)
     }
 
-    /// Joins every live lane worker of `node` and folds their summaries
-    /// into the node-level rollup.
-    fn join_node(&mut self, node: NodeId) -> Result<NodeSummary> {
-        let mut merged: Option<NodeSummary> = None;
-        for slot in self.handles[node.index()].iter_mut() {
-            let Some(handle) = slot.take() else { continue };
-            let s = handle
-                .join()
-                .map_err(|_| Error::Transport(format!("worker {node} panicked")))?;
-            match merged.as_mut() {
-                Some(base) => base.absorb_lane(s),
-                None => merged = Some(s),
+    /// Kills whatever lanes of `node` still run (a lane that already
+    /// exited leaves its Kill in the inbox, which restart drains), joins
+    /// every lane, folds their summaries into the node-level rollup and
+    /// tells the partners the node is gone.
+    fn bury(&mut self, node: NodeId) -> Result<NodeSummary> {
+        for (lane, tx) in self.senders[node.index()].iter().enumerate() {
+            if self.handles[node.index()][lane].is_some() {
+                let _ = tx.send(Inbound::Kill);
             }
         }
-        merged.ok_or(Error::NodeDown(node))
+        let lanes = self.handles[node.index()]
+            .iter_mut()
+            .filter_map(Option::take)
+            .map(|h| h.join())
+            .collect::<std::thread::Result<Vec<_>>>()
+            .map_err(|_| Error::Transport(format!("worker {node} panicked")))?;
+        self.broadcast_partner_down(node);
+        fold_lanes(lanes).ok_or(Error::NodeDown(node))
     }
 
     /// Waits for a node armed with
@@ -308,7 +407,7 @@ impl LiveCluster {
     /// joined too. Fails with [`Error::Timeout`] if every lane is still
     /// alive after `timeout`.
     pub fn await_death(&mut self, node: NodeId, timeout: Duration) -> Result<NodeSummary> {
-        if !self.handles[node.index()].iter().any(|h| h.is_some()) {
+        if !self.has_workers(node) {
             return Err(Error::NodeDown(node));
         }
         let finished = self.signal.wait_for(timeout, || {
@@ -323,125 +422,27 @@ impl LiveCluster {
             )));
         }
         // The remaining lanes die with the process (their volatile state
-        // is shared with the crashed lane); Kill makes it explicit.
-        for lane in 0..self.lanes {
-            if let Some(h) = self.handles[node.index()][lane].as_ref() {
-                if !h.is_finished() {
-                    let _ = self.senders[node.index()][lane].send(Inbound::Kill);
-                }
-            }
-        }
-        let summary = self.join_node(node)?;
-        self.broadcast_partner_down(node);
-        Ok(summary)
+        // is shared with the crashed lane).
+        self.bury(node)
     }
 
-    /// Restarts a killed node from its durable file WAL: stale frames
-    /// that piled up while it was down are discarded (the dead process
-    /// never received them), then RM and engine recovery replay and the
-    /// protocol re-drives over the transport. On a multi-lane node the
-    /// one shared log is replayed once and the recovered transactions
-    /// are repartitioned to their owning lanes (`lane_of`), each lane
-    /// worker resuming with exactly its own seats; recovery telemetry
-    /// rolls up per node. The node comes back with clean storage — no
-    /// fault plan — mirroring the wire's clean-on-restart semantics.
+    /// Restarts a killed node from its durable WAL: whatever reached the
+    /// dead incarnation — its inbox backlog, and over TCP every whole
+    /// frame its connections hold — is discarded first, then RM and
+    /// engine recovery replay and the protocol re-drives over the
+    /// network. On a multi-lane node the one shared log is replayed once
+    /// and the recovered transactions are repartitioned to their owning
+    /// lanes; recovery telemetry rolls up per node. Needs a durable log
+    /// backend (file or segmented): a memory log dies with the node.
     pub fn restart(&mut self, node: NodeId) -> Result<()> {
-        if self.handles[node.index()].iter().any(|h| h.is_some()) {
+        if self.has_workers(node) {
             return Err(Error::InvalidState(format!("{node} is already running")));
         }
-        for lane in 0..self.lanes {
-            while self.receivers[node.index()][lane].try_recv().is_ok() {}
+        for rx in &self.receivers[node.index()] {
+            while rx.try_recv().is_ok() {}
         }
-        let mut cfg = self.configs[node.index()].clone();
-        // The replacement "disk" is healthy: the original incarnation's
-        // fault plan does not follow the node through restart.
-        cfg.storage_faults = None;
-        if self.lanes == 1 {
-            let transport = self.make_transport(node, None);
-            let worker = NodeWorker::restart(
-                node,
-                cfg,
-                self.downstream[node.index()].clone(),
-                transport,
-                self.receivers[node.index()][0].clone(),
-                self.epoch,
-                Arc::clone(&self.signal),
-            )?;
-            self.handles[node.index()][0] = Some(spawn_worker(
-                node.index(),
-                0,
-                1,
-                worker,
-                Arc::clone(&self.signal),
-            ));
-            return Ok(());
-        }
-        // Multi-lane restart: reopen the one shared WAL (classifying any
-        // tail damage), replay it once, and hand each lane its own
-        // recovered driver + pending recovery actions.
-        let (mut log, tm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Tm)?;
-        let mut damage = tail_counts(tm_tail);
-        let mut rm_log: Option<Box<dyn LogManager + Send>> = if cfg.opts.shared_log {
-            None
-        } else {
-            let (rm_log, rm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Rm)?;
-            let (t, c) = tail_counts(rm_tail);
-            damage = (damage.0 + t, damage.1 + c);
-            Some(rm_log)
-        };
-        let obs = make_obs(&cfg);
-        let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
-        let recovered = recover_lanes(
-            node,
-            &cfg,
-            &self.downstream[node.index()],
-            &rm,
-            &mut log,
-            &mut rm_log,
-            obs.as_ref(),
-            self.epoch,
-            damage,
-        )?;
-        // The recovered single-owner logs become the node's shared
-        // devices again; every lane gets a clone.
-        let shared_tm = SharedLog::new(log);
-        let shared_rm_log = rm_log.map(SharedLog::new);
-        let health = Arc::new(IoHealth::default());
-        let ack_slot = Arc::new(AckSlot::default());
-        for (lane, rec) in recovered.into_iter().enumerate() {
-            let transport = self.make_transport(node, None);
-            let parts = LaneParts {
-                rm: Arc::clone(&rm),
-                log: Box::new(shared_tm.clone()),
-                rm_log: shared_rm_log
-                    .as_ref()
-                    .map(|l| Box::new(l.clone()) as Box<dyn LogManager + Send>),
-                obs: obs.clone(),
-                lane,
-                lane_peers: self.senders[node.index()].clone(),
-                health: Arc::clone(&health),
-                ack_slot: Some(Arc::clone(&ack_slot)),
-            };
-            let worker = NodeWorker::resume_with_parts(
-                node,
-                cfg.clone(),
-                transport,
-                self.receivers[node.index()][lane].clone(),
-                self.epoch,
-                Arc::clone(&self.signal),
-                parts,
-                rec.driver,
-                rec.actions,
-            )?;
-            self.handles[node.index()][lane] = Some(spawn_worker(
-                node.index(),
-                lane,
-                self.lanes,
-                worker,
-                Arc::clone(&self.signal),
-            ));
-        }
-        Ok(())
+        self.net.discard_pending(node);
+        self.spawn_node(node, true)
     }
 
     fn broadcast_partner_down(&self, peer: NodeId) {
@@ -458,7 +459,7 @@ impl LiveCluster {
     }
 
     /// Begins a transaction rooted at `root`.
-    pub fn begin(&self, root: NodeId) -> TxnHandle<'_> {
+    pub fn begin(&self, root: NodeId) -> TxnHandle<'_, N> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         TxnHandle {
             cluster: self,
@@ -483,10 +484,6 @@ impl LiveCluster {
         recv_reply(&rx, node, self.reply_timeout)
     }
 
-    fn request<R>(&self, node: NodeId, make: impl FnOnce(Sender<R>) -> AppCmd) -> Result<R> {
-        self.request_lane(node, 0, make)
-    }
-
     /// Reads a committed value from `node`'s store (blocking).
     pub fn read(&self, node: NodeId, key: &str) -> Option<Vec<u8>> {
         self.try_read(node, key).ok().flatten()
@@ -495,7 +492,7 @@ impl LiveCluster {
     /// Reads a committed value, distinguishing "no such key" from "node
     /// down / no reply".
     pub fn try_read(&self, node: NodeId, key: &str) -> Result<Option<Vec<u8>>> {
-        self.request(node, |reply| AppCmd::Read {
+        self.request_lane(node, 0, |reply| AppCmd::Read {
             key: key.as_bytes().to_vec(),
             reply,
         })
@@ -517,11 +514,8 @@ impl LiveCluster {
     pub fn quiesce(&self, timeout: Duration) -> bool {
         self.signal
             .wait_for(timeout, || {
-                let busy = (0..self.handles.len()).any(|i| {
-                    self.handles[i].iter().any(|h| h.is_some())
-                        && self
-                            .summary(NodeId(i as u32))
-                            .is_none_or(|s| s.active_txns > 0)
+                let busy = (0..self.len()).map(|i| NodeId(i as u32)).any(|node| {
+                    self.has_workers(node) && self.summary(node).is_none_or(|s| s.active_txns > 0)
                 });
                 (!busy).then_some(())
             })
@@ -564,17 +558,12 @@ impl LiveCluster {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, lanes)| {
-                    let mut merged: Option<NodeSummary> = None;
-                    for tx in lanes {
+                    let lanes = lanes.iter().map(|tx| {
                         let (reply, rx) = bounded(1);
                         tx.send(Inbound::App(AppCmd::Summary { reply })).ok()?;
-                        let s = recv_reply(&rx, NodeId(i as u32), timeout).ok()?;
-                        match merged.as_mut() {
-                            Some(base) => base.absorb_lane(s),
-                            None => merged = Some(s),
-                        }
-                    }
-                    merged
+                        recv_reply(&rx, NodeId(i as u32), timeout).ok()
+                    });
+                    fold_lanes(lanes.collect::<Option<Vec<_>>>()?)
                 })
                 .collect();
             crate::obs_export::route(&summaries, path)
@@ -600,9 +589,8 @@ impl LiveCluster {
 
     /// Stops every live node and returns their final summaries (killed
     /// nodes are absent — their last summary was returned by
-    /// [`LiveCluster::kill`] / [`LiveCluster::await_death`]).
+    /// [`Cluster::kill`] / [`Cluster::await_death`]).
     pub fn shutdown(self) -> Vec<NodeSummary> {
-        let mut summaries = Vec::with_capacity(self.senders.len());
         for (i, lanes) in self.senders.iter().enumerate() {
             for (lane, tx) in lanes.iter().enumerate() {
                 if self.handles[i][lane].is_some() {
@@ -611,21 +599,12 @@ impl LiveCluster {
                 }
             }
         }
-        for node_handles in self.handles.into_iter() {
-            let mut node_summary: Option<NodeSummary> = None;
-            for h in node_handles.into_iter().flatten() {
-                if let Ok(s) = h.join() {
-                    match node_summary.as_mut() {
-                        Some(base) => base.absorb_lane(s),
-                        None => node_summary = Some(s),
-                    }
-                }
-            }
-            if let Some(s) = node_summary {
-                summaries.push(s);
-            }
-        }
-        summaries
+        self.handles
+            .into_iter()
+            .filter_map(|lanes| {
+                fold_lanes(lanes.into_iter().flatten().filter_map(|h| h.join().ok()))
+            })
+            .collect()
     }
 
     pub(crate) fn send_app(&self, node: NodeId, cmd: AppCmd) {
@@ -637,6 +616,14 @@ impl LiveCluster {
         };
         let _ = self.senders[node.index()][lane].send(Inbound::App(cmd));
     }
+}
+
+/// Folds a node's lane summaries into the node-level rollup.
+fn fold_lanes(lanes: impl IntoIterator<Item = NodeSummary>) -> Option<NodeSummary> {
+    lanes.into_iter().reduce(|mut node, lane| {
+        node.absorb_lane(lane);
+        node
+    })
 }
 
 fn spawn_worker<T: Transport>(
@@ -662,7 +649,7 @@ fn spawn_worker<T: Transport>(
         .expect("spawn node thread")
 }
 
-pub(crate) fn recv_reply<R>(rx: &Receiver<R>, node: NodeId, timeout: Duration) -> Result<R> {
+fn recv_reply<R>(rx: &Receiver<R>, node: NodeId, timeout: Duration) -> Result<R> {
     match rx.recv_timeout(timeout) {
         Ok(r) => Ok(r),
         Err(RecvTimeoutError::Disconnected) => Err(Error::NodeDown(node)),
@@ -688,6 +675,11 @@ impl CommitWait {
         recv_reply(&self.rx, self.node, timeout)
     }
 
+    /// [`CommitWait::wait`] under the name TCP callers use.
+    pub fn wait_with(self, timeout: Duration) -> Result<CommitResult> {
+        self.wait(timeout)
+    }
+
     /// Non-blocking completion check: `Ok(Some(..))` once the outcome
     /// has arrived, `Ok(None)` while still in flight, so one thread can
     /// reap many in-flight commits without blocking on any of them.
@@ -700,14 +692,14 @@ impl CommitWait {
     }
 }
 
-/// A transaction in flight on a [`LiveCluster`].
-pub struct TxnHandle<'a> {
-    cluster: &'a LiveCluster,
-    txn: TxnId,
-    root: NodeId,
+/// A transaction in flight on a [`Cluster`].
+pub struct TxnHandle<'a, N = ChannelNet> {
+    pub(crate) cluster: &'a Cluster<N>,
+    pub(crate) txn: TxnId,
+    pub(crate) root: NodeId,
 }
 
-impl TxnHandle<'_> {
+impl<N: Net> TxnHandle<'_, N> {
     /// The transaction id.
     pub fn id(&self) -> TxnId {
         self.txn
@@ -738,14 +730,10 @@ impl TxnHandle<'_> {
     /// releasing the cluster borrow so the caller can kill and restart
     /// nodes while the protocol runs.
     pub fn commit_async(self) -> CommitWait {
-        let (tx, rx) = bounded(1);
-        self.cluster.send_app(
-            self.root,
-            AppCmd::Commit {
-                txn: self.txn,
-                reply: tx,
-            },
-        );
+        let (reply, rx) = bounded(1);
+        let txn = self.txn;
+        self.cluster
+            .send_app(self.root, AppCmd::Commit { txn, reply });
         CommitWait {
             rx,
             node: self.root,
@@ -754,17 +742,15 @@ impl TxnHandle<'_> {
 
     /// Requests rollback and blocks for the confirmation.
     pub fn abort(self) -> Result<CommitResult> {
-        let timeout = self.cluster.reply_timeout;
-        let (tx, rx) = bounded(1);
-        let node = self.root;
-        self.cluster.send_app(
-            node,
-            AppCmd::Abort {
-                txn: self.txn,
-                reply: tx,
-            },
-        );
-        recv_reply(&rx, node, timeout)
+        let (reply, rx) = bounded(1);
+        let txn = self.txn;
+        self.cluster
+            .send_app(self.root, AppCmd::Abort { txn, reply });
+        let wait = CommitWait {
+            rx,
+            node: self.root,
+        };
+        wait.wait(self.cluster.reply_timeout)
     }
 }
 

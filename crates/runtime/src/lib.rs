@@ -4,14 +4,19 @@
 //! optionally real TCP sockets, driving the same sans-IO engine the
 //! simulator drives.
 //!
-//! Two transports:
+//! One cluster, [`Cluster<N>`](Cluster), over two networks ([`Net`]):
 //!
-//! * [`LiveCluster::start`] — every node is a thread; frames travel over
-//!   crossbeam channels. This is the harness the examples use.
-//! * [`tcp::TcpCluster::start`] — every node additionally binds a loopback
-//!   TCP listener and frames travel over sockets, demonstrating that the
-//!   engine's wire format and ordering assumptions hold on a real network
-//!   stack.
+//! * [`LiveCluster::start`] (`Cluster<ChannelNet>`) — every node is a
+//!   thread (one per lane); frames travel over crossbeam channels. This
+//!   is the harness the examples use.
+//! * [`tcp::TcpCluster::start`] (`Cluster<TcpNet>`) — every node
+//!   additionally binds a loopback TCP listener and frames travel over
+//!   sockets, demonstrating that the engine's wire format and ordering
+//!   assumptions hold on a real network stack. A TCP node runs one lane.
+//!
+//! Start, kill, restart, requests and observability are the same code
+//! for both: the network only builds each lane's transport, wakes a lane
+//! parked on its sockets, and discards what a dead node was sent.
 //!
 //! The application API is deliberately small:
 //!
@@ -69,9 +74,8 @@
 //! [`LiveNodeConfig::with_tracing`] additionally captures per-
 //! transaction phase spans. [`LiveCluster::prometheus_dump`] renders
 //! the Prometheus text exposition, [`LiveCluster::chrome_trace`] a
-//! chrome-trace JSON for one transaction (both also on
-//! [`tcp::TcpCluster`]), and each [`NodeSummary::obs`] carries the raw
-//! snapshot.
+//! chrome-trace JSON for one transaction, and each [`NodeSummary::obs`]
+//! carries the raw snapshot.
 //!
 //! Failure paths are first-class: per-node in-doubt window tracking
 //! (`tpc_in_doubt_seconds`, opened at the durable `Prepared` record,
@@ -79,9 +83,8 @@
 //! telemetry ([`NodeSummary::recovery`]), TCP retry/reconnect counters,
 //! and cross-node trace propagation (frames carry a
 //! [`tpc_common::TraceCtx`], so `chrome_trace` stitches one causal tree
-//! across nodes). [`LiveCluster::serve_metrics`] /
-//! [`tcp::TcpCluster::serve_metrics`] expose it all on a live HTTP
-//! `/metrics` endpoint ([`http::MetricsServer`], `curl`-able, no
+//! across nodes). [`Cluster::serve_metrics`] exposes it all on a live
+//! HTTP `/metrics` endpoint ([`http::MetricsServer`], `curl`-able, no
 //! dependencies).
 
 #![forbid(unsafe_code)]
@@ -97,7 +100,7 @@ pub mod tcp;
 mod timers;
 pub mod verify;
 
-pub use cluster::{CommitWait, LiveCluster, TxnHandle};
+pub use cluster::{ChannelNet, Cluster, CommitWait, LiveCluster, Net, TxnHandle};
 pub use fault::{FaultPlan, FaultStats, FaultyWire};
 pub use http::MetricsServer;
 pub use node::{

@@ -857,10 +857,10 @@ struct LiveHost<T: Transport> {
     lanes: usize,
     /// This host's lane index.
     lane: usize,
-    /// Inbound channels of this node's *other* lanes, indexed by lane
-    /// (this lane's own slot is present but unused). Empty on
-    /// single-lane nodes. Used to forward lock grants and deadlock
-    /// victims to the lane owning the affected transaction.
+    /// Inbound channels of this node's lanes, indexed by lane (this
+    /// lane's own slot is present but unused). Used to forward lock
+    /// grants and deadlock victims to the lane owning the affected
+    /// transaction.
     lane_peers: Vec<Sender<Inbound>>,
     timers: TimerQueue,
     pending_ops: HashMap<TxnId, VecDeque<Op>>,
@@ -916,49 +916,6 @@ struct LiveHost<T: Transport> {
 const MAX_FSYNC_RETRIES: u32 = 3;
 
 impl<T: Transport> LiveHost<T> {
-    fn new(
-        node: NodeId,
-        cfg: &LiveNodeConfig,
-        transport: T,
-        log: Box<dyn LogManager + Send>,
-        rm_log: Option<Box<dyn LogManager + Send>>,
-        rm: Arc<SharedRm>,
-        epoch: Instant,
-    ) -> Self {
-        let pool = transport.buffer_pool().unwrap_or_default();
-        LiveHost {
-            node,
-            transport,
-            pool,
-            log,
-            rm_log,
-            rm,
-            lanes: 1,
-            lane: 0,
-            lane_peers: Vec::new(),
-            timers: TimerQueue::default(),
-            pending_ops: HashMap::new(),
-            deadlocked: HashSet::new(),
-            prepare_waiting: HashMap::new(),
-            waiting: HashMap::new(),
-            suspendable: cfg.suspendable,
-            reliable: cfg.reliable,
-            epoch,
-            followups: VecDeque::new(),
-            group: cfg.opts.group_commit.map(GroupCommitter::new),
-            suspended: HashMap::new(),
-            next_ticket: 0,
-            suspending_ticket: None,
-            resume_ready: VecDeque::new(),
-            obs: None,
-            group_opened_at: None,
-            health: Arc::new(IoHealth::default()),
-            io_policy: cfg.io_policy,
-            poison_next_suspend: false,
-            ack_slot: None,
-        }
-    }
-
     /// Times one closure and charges it to a phase histogram; a no-op
     /// without a recorder.
     fn timed<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
@@ -1169,7 +1126,7 @@ impl<T: Transport> LiveHost<T> {
         let mut foreign: HashMap<usize, Vec<tpc_locks::ReleaseGrant>> = HashMap::new();
         for g in grants {
             let lane = lane_of(g.txn, self.lanes);
-            if lane != self.lane && !self.lane_peers.is_empty() {
+            if lane != self.lane {
                 foreign.entry(lane).or_default().push(g);
                 continue;
             }
@@ -1567,7 +1524,7 @@ pub enum Inbound {
     LockVictims(Vec<TxnId>),
     /// Crash the worker: volatile state and buffered log tails are lost,
     /// in-flight application replies are dropped. Only the durable WAL
-    /// survives for [`NodeWorker::restart`].
+    /// survives for [`crate::Cluster::restart`].
     Kill,
     /// Stop the worker; it replies with its final summary.
     Shutdown {
@@ -1727,11 +1684,14 @@ pub(crate) fn reopen_log(
     }
 }
 
-/// The per-lane slice of a node's shared infrastructure: one RM, one
-/// log (possibly a [`SharedLog`] clone), one lane index and the sibling
-/// lanes' inbound channels. Single-lane nodes build this implicitly in
-/// [`NodeWorker::new`]; the multi-lane cluster builds one per lane.
+/// The per-lane slice of a node's shared infrastructure: the lane's
+/// inbox, one RM, one log (possibly a [`SharedLog`] clone), one lane
+/// index and the sibling lanes' inbound channels, plus the cluster's
+/// clock epoch and progress signal. The cluster builds one per lane.
 pub(crate) struct LaneParts {
+    pub rx: Receiver<Inbound>,
+    pub epoch: Instant,
+    pub signal: Arc<ClusterSignal>,
     pub rm: Arc<SharedRm>,
     pub log: Box<dyn LogManager + Send>,
     pub rm_log: Option<Box<dyn LogManager + Send>>,
@@ -1786,9 +1746,9 @@ pub(crate) struct RecoveredLane {
     pub actions: Vec<Action>,
 }
 
-/// Replays a node's durable log(s) after a crash and rebuilds per-lane
-/// driver state — the sharded generalization of the single-lane restart
-/// sequence:
+/// Replays a node's durable log(s) after a crash, exactly as a restarted
+/// process would, and rebuilds per-lane driver state (one lane is the
+/// degenerate case):
 ///
 /// 1. resource-manager recovery runs once over the durable RM stream
 ///    (redo committed work, restore prepared transactions as in-doubt
@@ -1833,22 +1793,9 @@ pub(crate) fn recover_lanes(
 
     let mut recovered = Vec::with_capacity(lanes);
     for lane in 0..lanes {
-        let engine_cfg = EngineConfig {
-            node,
-            protocol: cfg.protocol,
-            opts: cfg.opts.clone(),
-            timeouts: cfg.timeouts,
-            heuristic: cfg.heuristic,
-        };
-        let mut driver = Driver::new(engine_cfg)?;
-        for p in partners {
-            driver.engine_mut().add_session_partner(*p);
-        }
         // Observability attaches before recovery so recovered in-doubt
         // windows re-open at their durable `prepared_at` instants.
-        if let Some(o) = obs {
-            driver.set_obs(Arc::clone(o));
-        }
+        let mut driver = fresh_driver(node, cfg, partners, obs)?;
         if lane == 0 {
             driver.note_wal_scan(scan_us);
             driver.note_log_damage(tail_damage.0, tail_damage.1);
@@ -1884,6 +1831,30 @@ pub(crate) fn recover_lanes(
     Ok(recovered)
 }
 
+/// A lane's fresh [`Driver`]: the node's engine, its standing
+/// `partners` and the node's recorder, when it has one.
+fn fresh_driver(
+    node: NodeId,
+    cfg: &LiveNodeConfig,
+    partners: &[NodeId],
+    obs: Option<&Arc<Obs>>,
+) -> Result<Driver> {
+    let mut driver = Driver::new(EngineConfig {
+        node,
+        protocol: cfg.protocol,
+        opts: cfg.opts.clone(),
+        timeouts: cfg.timeouts,
+        heuristic: cfg.heuristic,
+    })?;
+    for p in partners {
+        driver.engine_mut().add_session_partner(*p);
+    }
+    if let Some(o) = obs {
+        driver.set_obs(Arc::clone(o));
+    }
+    Ok(driver)
+}
+
 pub(crate) fn rm_config(cfg: &LiveNodeConfig) -> RmConfig {
     if cfg.reliable {
         RmConfig::new(RmId(0)).reliable()
@@ -1893,217 +1864,91 @@ pub(crate) fn rm_config(cfg: &LiveNodeConfig) -> RmConfig {
 }
 
 impl<T: Transport> NodeWorker<T> {
-    /// Builds a single-lane worker; `partners` are the standing
-    /// downstream partners.
-    pub fn new(
-        node: NodeId,
-        cfg: LiveNodeConfig,
-        partners: Vec<NodeId>,
-        transport: T,
-        rx: Receiver<Inbound>,
-        epoch: Instant,
-        signal: Arc<ClusterSignal>,
-    ) -> Self {
-        let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
-        // The RM log must share the TM log's durability class: a node
-        // whose TM log survives a crash but whose RM log does not could
-        // not honour its prepared guarantee.
-        let rm_log: Option<Box<dyn LogManager + Send>> = if cfg.opts.shared_log {
-            None
-        } else {
-            Some(create_log(&cfg, node, LogRole::Rm))
-        };
-        let log = create_log(&cfg, node, LogRole::Tm);
-        let obs = make_obs(&cfg);
-        let parts = LaneParts {
-            rm,
-            log,
-            rm_log,
-            obs,
-            lane: 0,
-            lane_peers: Vec::new(),
-            health: Arc::new(IoHealth::default()),
-            ack_slot: None,
-        };
-        Self::new_with_parts(node, cfg, partners, transport, rx, epoch, signal, parts)
-    }
-
-    /// Builds one lane of a (possibly multi-lane) node from pre-built
-    /// shared parts. All lanes of a node share `parts.rm` and (through
-    /// [`SharedLog`] clones) the durable logs; each lane runs its own
+    /// Builds one lane of a fresh node from pre-built shared parts. All
+    /// lanes of a node share `parts.rm` and (through [`SharedLog`] clones
+    /// on a multi-lane node) the durable logs; each lane runs its own
     /// [`Driver`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_with_parts(
         node: NodeId,
-        cfg: LiveNodeConfig,
-        partners: Vec<NodeId>,
+        cfg: &LiveNodeConfig,
+        partners: &[NodeId],
         transport: T,
-        rx: Receiver<Inbound>,
-        epoch: Instant,
-        signal: Arc<ClusterSignal>,
         parts: LaneParts,
     ) -> Self {
-        let engine_cfg = EngineConfig {
-            node,
-            protocol: cfg.protocol,
-            opts: cfg.opts.clone(),
-            timeouts: cfg.timeouts,
-            heuristic: cfg.heuristic,
-        };
-        let mut driver = Driver::new(engine_cfg).expect("valid live config");
-        for p in partners {
-            driver.engine_mut().add_session_partner(p);
-        }
-        let kill_after_frames = cfg.kill_after_frames;
-        if let Some(o) = &parts.obs {
-            driver.set_obs(Arc::clone(o));
-        }
-        let mut host = LiveHost::new(
-            node,
-            &cfg,
-            transport,
-            parts.log,
-            parts.rm_log,
-            parts.rm,
-            epoch,
-        );
-        host.obs = parts.obs;
-        host.lanes = cfg.lanes.max(1);
-        host.lane = parts.lane;
-        host.lane_peers = parts.lane_peers;
-        host.health = parts.health;
-        host.ack_slot = parts.ack_slot;
+        let driver =
+            fresh_driver(node, cfg, partners, parts.obs.as_ref()).expect("valid live config");
         NodeWorker {
-            driver,
-            host,
-            rx,
-            frames_seen: 0,
-            kill_after_frames,
-            unsolicited: cfg.unsolicited || cfg.opts.unsolicited_vote,
-            ack_linger: cfg.effective_ack_linger(),
-            ack_deadline: None,
-            lock_wait_timeout: cfg.lock_wait_timeout,
-            next_lock_sweep: Instant::now() + Duration::from_millis(100),
-            next_gauge_sample: Instant::now(),
-            signal,
+            kill_after_frames: cfg.kill_after_frames,
+            ..Self::assemble(node, cfg, transport, parts, driver)
         }
     }
 
-    /// Rebuilds a worker from its durable state after a kill, exactly as
-    /// a restarted process would:
-    ///
-    /// 1. reopen the file WAL(s), discarding any torn tail;
-    /// 2. replay resource-manager recovery (redo committed work, restore
-    ///    prepared transactions as in-doubt with their locks);
-    /// 3. run engine recovery over the durable TM stream — interrupted
-    ///    voting aborts, in-doubt seats query or await per the protocol's
-    ///    presumption, decided-but-unacknowledged outcomes re-drive;
-    /// 4. resolve RM in-doubt transactions the TM already decided through
-    ///    the shared [`TmEngine::recovered_disposition`] rule.
-    ///
-    /// The recovery protocol actions (queries, re-driven decisions) are
-    /// applied immediately, so they go out over the real transport before
-    /// the first inbound message is processed. Requires a durable backend
-    /// ([`LogBackend::File`] or [`LogBackend::Segmented`]): a memory log
-    /// dies with the node, leaving nothing to recover from.
-    ///
-    /// [`TmEngine::recovered_disposition`]: tpc_core::TmEngine::recovered_disposition
-    pub fn restart(
-        node: NodeId,
-        cfg: LiveNodeConfig,
-        partners: Vec<NodeId>,
-        transport: T,
-        rx: Receiver<Inbound>,
-        epoch: Instant,
-        signal: Arc<ClusterSignal>,
-    ) -> Result<Self> {
-        if cfg.lanes > 1 {
-            return Err(Error::Config(
-                "multi-lane restart is orchestrated by the cluster (one worker per lane)".into(),
-            ));
-        }
-        let (mut log, tm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Tm)?;
-        let mut damage = tail_counts(tm_tail);
-        let mut rm_log: Option<Box<dyn LogManager + Send>> = if cfg.opts.shared_log {
-            None
-        } else {
-            let (rm_log, rm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Rm)?;
-            let (t, c) = tail_counts(rm_tail);
-            damage = (damage.0 + t, damage.1 + c);
-            Some(rm_log)
-        };
-        // Observability attaches before recovery so the recovered
-        // in-doubt windows re-open at their durable `prepared_at`
-        // instants (covering the outage, not just the tail after it).
-        let obs = make_obs(&cfg);
-        let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
-        let mut lanes = recover_lanes(
-            node,
-            &cfg,
-            &partners,
-            &rm,
-            &mut log,
-            &mut rm_log,
-            obs.as_ref(),
-            epoch,
-            damage,
-        )?;
-        let RecoveredLane { driver, actions } = lanes.remove(0);
-        let parts = LaneParts {
-            rm,
-            log,
-            rm_log,
-            obs,
-            lane: 0,
-            lane_peers: Vec::new(),
-            health: Arc::new(IoHealth::default()),
-            ack_slot: None,
-        };
-        Self::resume_with_parts(
-            node, cfg, transport, rx, epoch, signal, parts, driver, actions,
-        )
-    }
-
-    /// Builds a worker around an already-recovered lane [`Driver`] (from
+    /// Builds a worker around an already-recovered lane (from
     /// [`recover_lanes`]) and applies its pending recovery actions, so
     /// queries and re-driven decisions go out over the real transport
     /// before the first inbound message is processed. The restart knobs
     /// reset: a recovered node does not crash again
-    /// (`kill_after_frames`), and the replacement disk is healthy
-    /// (fresh [`IoHealth`], no storage faults).
-    #[allow(clippy::too_many_arguments)]
+    /// (`kill_after_frames` is one-shot), and the replacement disk is
+    /// healthy (fresh [`IoHealth`], no storage faults).
     pub(crate) fn resume_with_parts(
         node: NodeId,
-        cfg: LiveNodeConfig,
+        cfg: &LiveNodeConfig,
         transport: T,
-        rx: Receiver<Inbound>,
-        epoch: Instant,
-        signal: Arc<ClusterSignal>,
+        parts: LaneParts,
+        lane: RecoveredLane,
+    ) -> Result<Self> {
+        let mut worker = Self::assemble(node, cfg, transport, parts, lane.driver);
+        let now = worker.host.now();
+        worker.driver.apply(&mut worker.host, now, lane.actions)?;
+        worker.pump();
+        Ok(worker)
+    }
+
+    /// A worker around `driver`, hosted on `parts`, that never crashes
+    /// itself.
+    fn assemble(
+        node: NodeId,
+        cfg: &LiveNodeConfig,
+        transport: T,
         parts: LaneParts,
         driver: Driver,
-        actions: Vec<Action>,
-    ) -> Result<Self> {
-        let mut host = LiveHost::new(
+    ) -> Self {
+        let host = LiveHost {
             node,
-            &cfg,
+            pool: transport.buffer_pool().unwrap_or_default(),
             transport,
-            parts.log,
-            parts.rm_log,
-            parts.rm,
-            epoch,
-        );
-        host.obs = parts.obs;
-        host.lanes = cfg.lanes.max(1);
-        host.lane = parts.lane;
-        host.lane_peers = parts.lane_peers;
-        host.health = parts.health;
-        host.ack_slot = parts.ack_slot;
-        let mut worker = NodeWorker {
+            log: parts.log,
+            rm_log: parts.rm_log,
+            rm: parts.rm,
+            lanes: cfg.lanes.max(1),
+            lane: parts.lane,
+            lane_peers: parts.lane_peers,
+            timers: TimerQueue::default(),
+            pending_ops: HashMap::new(),
+            deadlocked: HashSet::new(),
+            prepare_waiting: HashMap::new(),
+            waiting: HashMap::new(),
+            suspendable: cfg.suspendable,
+            reliable: cfg.reliable,
+            epoch: parts.epoch,
+            followups: VecDeque::new(),
+            group: cfg.opts.group_commit.map(GroupCommitter::new),
+            suspended: HashMap::new(),
+            next_ticket: 0,
+            suspending_ticket: None,
+            resume_ready: VecDeque::new(),
+            obs: parts.obs,
+            group_opened_at: None,
+            health: parts.health,
+            io_policy: cfg.io_policy,
+            poison_next_suspend: false,
+            ack_slot: parts.ack_slot,
+        };
+        NodeWorker {
             driver,
             host,
-            rx,
+            rx: parts.rx,
             frames_seen: 0,
-            // A restarted node must not crash again: the knob is one-shot.
             kill_after_frames: None,
             unsolicited: cfg.unsolicited || cfg.opts.unsolicited_vote,
             ack_linger: cfg.effective_ack_linger(),
@@ -2111,12 +1956,8 @@ impl<T: Transport> NodeWorker<T> {
             lock_wait_timeout: cfg.lock_wait_timeout,
             next_lock_sweep: Instant::now() + Duration::from_millis(100),
             next_gauge_sample: Instant::now(),
-            signal,
-        };
-        let now = worker.host.now();
-        worker.driver.apply(&mut worker.host, now, actions)?;
-        worker.pump();
-        Ok(worker)
+            signal: parts.signal,
+        }
     }
 
     /// The worker's main loop; returns the final summary at shutdown.

@@ -42,6 +42,10 @@
 //! time — a frame still arriving is dropped once complete — so the
 //! stream framing stays intact and nothing sent to the dead incarnation
 //! reaches the next one.
+//!
+//! **The network.** [`TcpNet`] binds the nodes' listeners and plugs this
+//! transport into the one [`Cluster`]: [`TcpCluster`] is
+//! `Cluster<TcpNet>`, one lane per node.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -50,21 +54,13 @@ use std::os::fd::AsFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, Waker,
-};
-use tpc_common::{BufferPool, Error, NodeId, Op, PooledBuf, Result, TxnId};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, Waker};
+use tpc_common::{BufferPool, NodeId, PooledBuf};
 
-use crate::cluster::recv_reply;
-use crate::fault::{FaultPlan, FaultyWire};
-use crate::node::{
-    AppCmd, CommitResult, Inbound, LiveNodeConfig, NodeSummary, NodeWorker, Transport,
-    TransportCounter, TransportHealth,
-};
-use crate::signal::ClusterSignal;
+use crate::cluster::{Cluster, CommitWait, Net, TxnHandle};
+use crate::node::{Inbound, LiveNodeConfig, Transport, TransportCounter, TransportHealth};
 
 /// Cap on bytes the sender thread coalesces into one write (keeps a
 /// slow peer from accumulating an unbounded batch in memory before the
@@ -82,10 +78,6 @@ const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
 /// Initial per-connection reassembly buffer (grows for a larger frame).
 const READ_BUF_BYTES: usize = 64 * 1024;
-
-/// How long TCP cluster-level blocking requests wait before reporting
-/// [`Error::Timeout`].
-const DEFAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Reconnect discipline for a [`TcpTransport`].
 #[derive(Clone, Debug)]
@@ -200,7 +192,7 @@ struct LinkState {
 /// incarnation. The acceptor hands it accepted streams; the lane's
 /// [`TcpTransport`] adopts them; when the worker dies, its transport
 /// hands the connections back with their partly received frames, so
-/// they survive the crash, and [`TcpCluster::restart`] discards what
+/// they survive the crash, and [`Cluster::restart`] discards what
 /// they hold.
 struct InboundHub {
     /// The node's frame-buffer pool: its transport encodes into it,
@@ -470,8 +462,11 @@ impl TcpTransport {
 
     /// Reads whatever the node's connections (and wake-up socket) have,
     /// waiting at most `timeout` for something to arrive. Peer frames
-    /// land in `ready`; a closed, failed or garbled connection is
-    /// dropped.
+    /// land in `ready`, oldest connection first: a restarted peer's new
+    /// connection is younger than its dead incarnation's, so what the
+    /// dead one wrote (its last vote) is delivered before what the new
+    /// one says (its recovery query). A closed, failed or garbled
+    /// connection is dropped.
     fn poll_sockets(&mut self, timeout: Duration) {
         self.hub.adopt_accepted(&mut self.conns);
         let polled = {
@@ -489,15 +484,12 @@ impl TcpTransport {
             let mut sink = [0u8; 64];
             while matches!((&self.hub.wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
         }
-        for i in (0..self.conns.len()).rev() {
-            if readiness.is_ready(i + 1)
-                && self.conns[i]
-                    .read_frames(&self.pool, &mut self.ready)
-                    .is_err()
-            {
-                self.conns.swap_remove(i);
-            }
-        }
+        let (pool, ready) = (&self.pool, &mut self.ready);
+        let mut fd = 0;
+        self.conns.retain_mut(|c| {
+            fd += 1;
+            !readiness.is_ready(fd) || c.read_frames(pool, ready).is_ok()
+        });
     }
 }
 
@@ -807,401 +799,98 @@ impl PeerSender {
     }
 }
 
-/// A cluster whose nodes talk TCP over loopback.
-pub struct TcpCluster {
-    senders: Vec<Sender<Inbound>>,
-    receivers: Vec<Receiver<Inbound>>,
-    handles: Vec<Option<JoinHandle<NodeSummary>>>,
-    configs: Vec<LiveNodeConfig>,
-    next_seq: Arc<AtomicU64>,
-    policy: RetryPolicy,
-    epoch: Instant,
-    reply_timeout: Duration,
-    signal: Arc<ClusterSignal>,
-    /// One inbound hub per node: its accepted connections and its
-    /// buffer pool, both of which outlive a crashed worker.
-    hubs: Vec<Arc<InboundHub>>,
+/// The loopback TCP network: one listener per node, bound at start, and
+/// the node's inbound hub, which its acceptor thread feeds and which
+/// outlives a crashed worker.
+pub struct TcpNet {
     /// The socket addresses the nodes listen on.
-    pub addrs: Vec<SocketAddr>,
+    addrs: Vec<SocketAddr>,
+    hubs: Vec<Arc<InboundHub>>,
 }
 
-impl TcpCluster {
-    /// Binds loopback listeners, spawns workers, full-mesh partnership.
-    pub fn start(configs: Vec<LiveNodeConfig>) -> std::io::Result<Self> {
-        let faults = vec![None; configs.len()];
-        Self::start_with_faults(configs, faults, RetryPolicy::default())
-    }
-
-    /// Starts with per-node outbound fault plans (the [`FaultyWire`]
-    /// wraps the TCP transport itself, demonstrating injection below the
-    /// socket seam) and an explicit reconnect policy.
-    pub fn start_with_faults(
-        configs: Vec<LiveNodeConfig>,
-        faults: Vec<Option<FaultPlan>>,
-        policy: RetryPolicy,
-    ) -> std::io::Result<Self> {
-        assert_eq!(configs.len(), faults.len(), "one fault slot per node");
-        let n = configs.len();
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let l = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(l.local_addr()?);
-            listeners.push(l);
-        }
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        let mut hubs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            let hub = InboundHub::new()?;
-            // A channel message wakes the lane out of its socket poll.
-            rx.set_waker(hub.waker());
-            senders.push(tx);
-            receivers.push(rx);
-            hubs.push(hub);
-        }
-        let epoch = Instant::now();
-        let mut cluster = TcpCluster {
-            senders,
-            receivers,
-            handles: (0..n).map(|_| None).collect(),
-            configs,
-            next_seq: Arc::new(AtomicU64::new(1)),
-            policy,
-            epoch,
-            reply_timeout: DEFAULT_REPLY_TIMEOUT,
-            signal: Arc::new(ClusterSignal::new()),
-            hubs,
-            addrs,
+impl TcpNet {
+    /// Binds a loopback listener for each of `n` nodes and starts its
+    /// acceptor thread.
+    fn bind(n: usize) -> io::Result<Self> {
+        let mut net = TcpNet {
+            addrs: Vec::with_capacity(n),
+            hubs: Vec::with_capacity(n),
         };
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let node = NodeId(i as u32);
-            let hub = Arc::downgrade(&cluster.hubs[i]);
+        for i in 0..n {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            net.addrs.push(listener.local_addr()?);
+            let hub = InboundHub::new()?;
+            let acceptor = Arc::downgrade(&hub);
             std::thread::Builder::new()
                 .name(format!("tpc-acceptor-{i}"))
-                .spawn(move || InboundHub::accept_loop(hub, listener))?;
-            let transport = cluster.make_transport(node, faults[i].clone());
-            // Commit trees form from the work actually exchanged; no
-            // standing partnership by default (it is directional and
-            // tree-shaped — see LiveCluster::start_with_topology).
-            let worker = NodeWorker::new(
-                node,
-                cluster.configs[i].clone(),
-                Vec::new(),
-                transport,
-                cluster.receivers[i].clone(),
-                epoch,
-                Arc::clone(&cluster.signal),
-            );
-            cluster.handles[i] = Some(spawn_tcp_worker(i, worker, Arc::clone(&cluster.signal))?);
+                .spawn(move || InboundHub::accept_loop(acceptor, listener))?;
+            net.hubs.push(hub);
         }
-        Ok(cluster)
+        Ok(net)
     }
+}
 
-    /// Replaces the reply deadline used by blocking requests.
-    pub fn with_reply_timeout(mut self, timeout: Duration) -> Self {
-        self.reply_timeout = timeout;
-        self
-    }
+impl Net for TcpNet {
+    type Transport = TcpTransport;
 
-    fn make_transport(&self, node: NodeId, plan: Option<FaultPlan>) -> Box<dyn Transport> {
-        let base = TcpTransport::new(
+    /// Failures are reported to the node's own inbox.
+    fn transport(&self, node: NodeId, inboxes: &[Vec<Sender<Inbound>>]) -> TcpTransport {
+        TcpTransport::new(
             node,
             self.addrs.clone(),
-            self.policy.clone(),
-            self.senders[node.index()].clone(),
+            RetryPolicy::default(),
+            inboxes[node.index()][0].clone(),
             Arc::clone(&self.hubs[node.index()]),
-        );
-        match plan {
-            Some(plan) => Box::new(FaultyWire::new(base, plan)),
-            None => Box::new(base),
-        }
+        )
     }
 
-    /// Kills `node`'s worker mid-protocol (its listener and inbound
-    /// connections stay open — the model is a crashed transaction
-    /// manager whose endpoint reappears on restart, so peer frames sent
-    /// meanwhile wait in the sockets and are discarded at restart like
-    /// packets to a dead process). Partners are notified so they abort
-    /// or re-drive.
-    pub fn kill(&mut self, node: NodeId) -> Result<NodeSummary> {
-        let handle = self.handles[node.index()]
-            .take()
-            .ok_or(Error::NodeDown(node))?;
-        let _ = self.senders[node.index()].send(Inbound::Kill);
-        let summary = handle
-            .join()
-            .map_err(|_| Error::Transport(format!("worker {node} panicked")))?;
-        for (i, tx) in self.senders.iter().enumerate() {
-            if i != node.index() && self.handles[i].is_some() {
-                let _ = tx.send(Inbound::PartnerDown { peer: node });
-            }
-        }
-        Ok(summary)
+    /// A channel message wakes the lane out of its socket poll.
+    fn attach(&self, node: NodeId, inbox: &Receiver<Inbound>) {
+        inbox.set_waker(self.hubs[node.index()].waker());
     }
 
-    /// Waits for a node armed with
-    /// [`kill_after_frames`](LiveNodeConfig::kill_after_frames) to crash
-    /// itself, then notifies its partners. Fails with [`Error::Timeout`]
-    /// if the node is still alive after `timeout`.
-    pub fn await_death(&mut self, node: NodeId, timeout: Duration) -> Result<NodeSummary> {
-        if self.handles[node.index()].is_none() {
-            return Err(Error::NodeDown(node));
-        }
-        let finished = self.signal.wait_for(timeout, || {
-            self.handles[node.index()]
-                .as_ref()
-                .is_some_and(|h| h.is_finished())
-                .then_some(())
-        });
-        if finished.is_none() {
-            return Err(Error::Timeout(format!(
-                "{node} still alive after {timeout:?}"
-            )));
-        }
-        let handle = self.handles[node.index()].take().expect("checked above");
-        let summary = handle
-            .join()
-            .map_err(|_| Error::Transport(format!("worker {node} panicked")))?;
-        for (i, tx) in self.senders.iter().enumerate() {
-            if i != node.index() && self.handles[i].is_some() {
-                let _ = tx.send(Inbound::PartnerDown { peer: node });
-            }
-        }
-        Ok(summary)
-    }
-
-    /// Restarts a killed node from its durable file WAL; recovery
-    /// messages go out over real sockets. Whatever reached the dead
-    /// incarnation — channel messages and every whole frame its
-    /// connections hold — is discarded first.
-    pub fn restart(&mut self, node: NodeId) -> Result<()> {
-        if self.handles[node.index()].is_some() {
-            return Err(Error::InvalidState(format!("{node} is already running")));
-        }
-        while self.receivers[node.index()].try_recv().is_ok() {}
+    fn discard_pending(&self, node: NodeId) {
         self.hubs[node.index()].discard_pending();
-        let transport = self.make_transport(node, None);
-        let worker = NodeWorker::restart(
-            node,
-            self.configs[node.index()].clone(),
-            Vec::new(),
-            transport,
-            self.receivers[node.index()].clone(),
-            self.epoch,
-            Arc::clone(&self.signal),
-        )?;
-        self.handles[node.index()] = Some(
-            spawn_tcp_worker(node.index(), worker, Arc::clone(&self.signal)).map_err(Error::Io)?,
-        );
-        Ok(())
-    }
-
-    /// Begins a transaction rooted at `root`.
-    pub fn begin(&self, root: NodeId) -> TcpTxnHandle<'_> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        TcpTxnHandle {
-            cluster: self,
-            txn: TxnId::new(root, seq),
-            root,
-        }
-    }
-
-    /// Reads a committed value from `node`'s store.
-    pub fn read(&self, node: NodeId, key: &str) -> Option<Vec<u8>> {
-        let (tx, rx) = bounded(1);
-        self.senders[node.index()]
-            .send(Inbound::App(AppCmd::Read {
-                key: key.as_bytes().to_vec(),
-                reply: tx,
-            }))
-            .ok()?;
-        recv_reply(&rx, node, self.reply_timeout).ok()?
-    }
-
-    /// Polls `node`'s store until `key` holds a value or `timeout`
-    /// elapses — see [`crate::LiveCluster::read_eventually`] for why
-    /// cross-node visibility needs a deadline.
-    pub fn read_eventually(&self, node: NodeId, key: &str, timeout: Duration) -> Option<Vec<u8>> {
-        self.signal.wait_for(timeout, || self.read(node, key))
-    }
-
-    /// Waits until every live node reports zero active transactions, or
-    /// `timeout` passes. Returns `true` on quiescence.
-    pub fn quiesce(&self, timeout: Duration) -> bool {
-        self.signal
-            .wait_for(timeout, || {
-                let busy = (0..self.handles.len()).any(|i| {
-                    self.handles[i].is_some()
-                        && self
-                            .summary(NodeId(i as u32))
-                            .is_none_or(|s| s.active_txns > 0)
-                });
-                (!busy).then_some(())
-            })
-            .is_some()
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// True when the cluster has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
-    /// Fetches a node's live summary.
-    pub fn summary(&self, node: NodeId) -> Option<NodeSummary> {
-        self.handles[node.index()].as_ref()?;
-        let (tx, rx) = bounded(1);
-        self.senders[node.index()]
-            .send(Inbound::App(AppCmd::Summary { reply: tx }))
-            .ok()?;
-        recv_reply(&rx, node, self.reply_timeout).ok()
-    }
-
-    /// Renders the Prometheus text exposition for every live node — the
-    /// TCP twin of [`crate::LiveCluster::prometheus_dump`].
-    pub fn prometheus_dump(&self) -> String {
-        crate::obs_export::prometheus_text(&self.live_summaries())
-    }
-
-    /// Renders a chrome-trace JSON of one transaction's phase spans
-    /// across all live nodes (requires
-    /// [`LiveNodeConfig::with_tracing`]).
-    pub fn chrome_trace(&self, txn: TxnId) -> String {
-        crate::obs_export::chrome_trace_text(&self.live_summaries(), txn)
-    }
-
-    fn live_summaries(&self) -> Vec<NodeSummary> {
-        (0..self.len())
-            .filter_map(|i| self.summary(NodeId(i as u32)))
-            .collect()
-    }
-
-    /// Serves the cluster observability endpoints over HTTP at `addr`
-    /// (use `"127.0.0.1:0"` for an ephemeral port) — the TCP twin of
-    /// [`crate::LiveCluster::serve_metrics`]: `/metrics`, `/healthz`
-    /// (503 once any node's WAL degrades), the windowed `/timeline`
-    /// JSON and the `/debug/flight` recorder dump. Each request
-    /// collects fresh summaries from every node that answers within a
-    /// bounded wait, so a killed node degrades the response instead of
-    /// hanging it.
-    pub fn serve_metrics(&self, addr: &str) -> std::io::Result<crate::http::MetricsServer> {
-        let senders = self.senders.clone();
-        let timeout = self.reply_timeout.min(Duration::from_secs(2));
-        crate::http::MetricsServer::serve_routes(addr, move |path| {
-            let summaries: Vec<NodeSummary> = senders
-                .iter()
-                .enumerate()
-                .filter_map(|(i, tx)| {
-                    let (reply, rx) = bounded(1);
-                    tx.send(Inbound::App(AppCmd::Summary { reply })).ok()?;
-                    recv_reply(&rx, NodeId(i as u32), timeout).ok()
-                })
-                .collect();
-            crate::obs_export::route(&summaries, path)
-        })
-    }
-
-    /// Stops every live node.
-    pub fn shutdown(self) -> Vec<NodeSummary> {
-        let mut out = Vec::new();
-        for (i, tx) in self.senders.iter().enumerate() {
-            if self.handles[i].is_some() {
-                let (reply, _rx) = bounded(1);
-                let _ = tx.send(Inbound::Shutdown { reply });
-            }
-        }
-        for h in self.handles.into_iter().flatten() {
-            if let Ok(s) = h.join() {
-                out.push(s);
-            }
-        }
-        out
     }
 }
 
-fn spawn_tcp_worker<T: Transport>(
-    index: usize,
-    worker: NodeWorker<T>,
-    signal: Arc<ClusterSignal>,
-) -> std::io::Result<JoinHandle<NodeSummary>> {
-    std::thread::Builder::new()
-        .name(format!("tpc-tcp-node-{index}"))
-        .spawn(move || {
-            let summary = worker.run();
-            // Final bump so await_death / quiesce observe the exit.
-            signal.bump();
-            summary
-        })
-}
+/// A cluster whose nodes talk TCP over loopback.
+pub type TcpCluster = Cluster<TcpNet>;
 
 /// A transaction in flight on a [`TcpCluster`].
-pub struct TcpTxnHandle<'a> {
-    cluster: &'a TcpCluster,
-    txn: TxnId,
-    root: NodeId,
-}
-
-impl TcpTxnHandle<'_> {
-    /// The transaction id.
-    pub fn id(&self) -> TxnId {
-        self.txn
-    }
-
-    /// Sends work to a partner.
-    pub fn work(&self, to: NodeId, ops: Vec<Op>) {
-        let _ = self.cluster.senders[self.root.index()].send(Inbound::App(AppCmd::Work {
-            txn: self.txn,
-            to,
-            ops,
-        }));
-    }
-
-    /// Requests commit, blocking for the outcome; typed errors instead
-    /// of hanging on a dead root.
-    pub fn commit(self) -> Result<CommitResult> {
-        let timeout = self.cluster.reply_timeout;
-        self.commit_async().wait_with(timeout)
-    }
-
-    /// Requests commit and returns a waiter, releasing the cluster
-    /// borrow so the caller can kill/restart nodes meanwhile.
-    pub fn commit_async(self) -> TcpCommitWait {
-        let (tx, rx) = bounded(1);
-        let _ = self.cluster.senders[self.root.index()].send(Inbound::App(AppCmd::Commit {
-            txn: self.txn,
-            reply: tx,
-        }));
-        TcpCommitWait {
-            rx,
-            node: self.root,
-        }
-    }
-}
+pub type TcpTxnHandle<'a> = TxnHandle<'a, TcpNet>;
 
 /// An in-flight commit on a [`TcpCluster`].
-pub struct TcpCommitWait {
-    rx: Receiver<CommitResult>,
-    node: NodeId,
-}
+pub type TcpCommitWait = CommitWait;
 
-impl TcpCommitWait {
-    /// Blocks until the outcome arrives or `timeout` passes.
-    pub fn wait_with(self, timeout: Duration) -> Result<CommitResult> {
-        recv_reply(&self.rx, self.node, timeout)
+impl Cluster<TcpNet> {
+    /// Binds a loopback listener per node and starts one worker each,
+    /// with no standing partners and a clean wire (see
+    /// [`crate::LiveCluster::start`]). A node runs one lane over TCP: a
+    /// config asking for more fails with [`io::ErrorKind::InvalidInput`]
+    /// (lanes over TCP are ROADMAP item 5(b)).
+    pub fn start(configs: Vec<LiveNodeConfig>) -> io::Result<Self> {
+        if let Some(cfg) = configs.iter().find(|c| c.lanes > 1) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "lanes = {}: a TCP node runs one lane (lanes over TCP are ROADMAP item 5(b))",
+                    cfg.lanes
+                ),
+            ));
+        }
+        let n = configs.len();
+        let net = TcpNet::bind(n)?;
+        Ok(Self::launch(net, configs, &[], vec![None; n]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AppCmd, NodeSummary};
     use proptest::prelude::*;
-    use tpc_common::{Outcome, ProtocolKind};
+    use tpc_common::{Error, Op, Outcome, ProtocolKind};
 
     #[test]
     fn commit_over_real_sockets() {
@@ -1308,7 +997,7 @@ mod tests {
         c.kill(sub).expect("sub alive");
         let txn = c.begin(root).id();
         let ops = vec![Op::put("ghost", "1")];
-        let _ = c.senders[root.index()].send(Inbound::App(AppCmd::Work { txn, to: sub, ops }));
+        c.send_app(root, AppCmd::Work { txn, to: sub, ops });
         // Channel order: once the root answers this, its lane has
         // written the Work frame into sub's socket.
         c.summary(root).expect("root alive");
@@ -1331,7 +1020,8 @@ mod tests {
     fn concurrent_waves_commit_on_a_segmented_log_with_group_commit() {
         // Two waves of 16 `commit_async` calls over sockets, rooted at
         // nodes 0 and 1 in turn and writing at node 2, whose segmented
-        // log batches the forces that overlap.
+        // log batches the forces that overlap. The first wave is reaped
+        // by polling, the second by blocking waits.
         const WAVES: usize = 2;
         const IN_FLIGHT: usize = 16;
         let dir = std::env::temp_dir().join(format!("tpc-tcp-waves-{}", std::process::id()));
@@ -1347,7 +1037,7 @@ mod tests {
         let c = TcpCluster::start(vec![cfg; 3]).expect("bind loopback");
         let mut outcomes = Vec::new();
         for wave in 0..WAVES {
-            let waits: Vec<_> = (0..IN_FLIGHT)
+            let mut waits: Vec<_> = (0..IN_FLIGHT)
                 .map(|i| {
                     let root = NodeId((i % 2) as u32);
                     let t = c.begin(root);
@@ -1356,6 +1046,21 @@ mod tests {
                     (txn, root, t.commit_async())
                 })
                 .collect();
+            if wave == 0 {
+                let reaped = c.signal.wait_for(Duration::from_secs(20), || {
+                    waits.retain(|(txn, root, wait)| match wait.poll().expect("root alive") {
+                        Some(r) => {
+                            assert_eq!(r.outcome, Outcome::Commit, "wave {wave}");
+                            outcomes.push(crate::verify::outcome_record(*txn, *root, &r));
+                            false
+                        }
+                        None => true,
+                    });
+                    waits.is_empty().then_some(())
+                });
+                assert!(reaped.is_some(), "{} commits still in flight", waits.len());
+                continue;
+            }
             for (txn, root, wait) in waits {
                 let r = wait.wait_with(Duration::from_secs(20)).expect("root alive");
                 assert_eq!(r.outcome, Outcome::Commit, "wave {wave}");
@@ -1370,6 +1075,35 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
         assert!(unresolved.is_empty(), "{unresolved:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn requests_to_a_killed_node_fail_fast() {
+        // The reply timeout stays at its 30 s default: a request that
+        // reached the dead node's inbox would wait it out.
+        let mut c = TcpCluster::start(vec![LiveNodeConfig::new(ProtocolKind::PresumedAbort); 2])
+            .expect("bind loopback");
+        let victim = NodeId(1);
+        c.kill(victim).expect("victim alive");
+        let started = Instant::now();
+        assert!(matches!(c.try_read(victim, "k"), Err(Error::NodeDown(n)) if n == victim));
+        assert!(matches!(c.try_summary(victim), Err(Error::NodeDown(n)) if n == victim));
+        assert_eq!(c.read(victim, "k"), None);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert!(!c.is_alive(victim));
+        c.shutdown();
+    }
+
+    #[test]
+    fn more_than_one_lane_is_rejected() {
+        let cfg = LiveNodeConfig::new(ProtocolKind::PresumedAbort).with_lanes(4);
+        match TcpCluster::start(vec![cfg; 2]) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}"),
+            Ok(c) => {
+                c.shutdown();
+                panic!("a four-lane TCP cluster started");
+            }
+        }
     }
 
     #[test]
@@ -1716,6 +1450,30 @@ mod tests {
         assert_eq!(inbox.frame(), (NodeId(1), b"last words".to_vec()));
         assert_eq!(inbox.recv(Duration::from_millis(20)), None);
         assert!(inbox.t.conns.is_empty(), "the closed connection is gone");
+    }
+
+    #[test]
+    fn older_connection_is_read_first() {
+        // A restarted peer's new connection must not overtake what its
+        // dead incarnation wrote: with both readable, the older goes first.
+        let mut inbox = inbox();
+        let mut old = raw_peer(inbox.addr);
+        old.write_all(&wire(1, b"old")).unwrap();
+        assert_eq!(inbox.frame(), (NodeId(1), b"old".to_vec()));
+        let mut new = raw_peer(inbox.addr);
+        new.write_all(&wire(1, b"new")).unwrap();
+        assert_eq!(inbox.frame(), (NodeId(1), b"new".to_vec()));
+        new.write_all(&wire(1, b"query")).unwrap();
+        old.write_all(&wire(1, b"vote")).unwrap();
+        let fds: Vec<_> = inbox.t.conns.iter().map(|c| c.stream.as_fd()).collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !polling::poll_readable(&fds, Duration::from_millis(10))
+            .is_ok_and(|r| r.is_ready(0) && r.is_ready(1))
+        {
+            assert!(Instant::now() < deadline, "both frames arrive");
+        }
+        assert_eq!(inbox.frame(), (NodeId(1), b"vote".to_vec()));
+        assert_eq!(inbox.frame(), (NodeId(1), b"query".to_vec()));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::time::Duration;
 use tpc_common::{AckMode, NodeId, Op, OptimizationConfig, Outcome, ProtocolKind, SimDuration};
 use tpc_core::Timeouts;
 use tpc_runtime::tcp::TcpCluster;
-use tpc_runtime::{verify, LiveCluster, LiveNodeConfig, StorageFaultPlan};
+use tpc_runtime::{verify, Cluster, LiveCluster, LiveNodeConfig, Net, StorageFaultPlan};
 
 /// Short protocol timers so retries and in-doubt queries fire quickly.
 fn chaos_timeouts() -> Timeouts {
@@ -320,17 +320,22 @@ fn in_doubt_window_covers_the_outage() {
     // telemetry for the in-doubt transaction. Every protocol, on a
     // one-lane node over TCP and on a four-lane node over channels.
     for protocol in PROTOCOLS {
-        for tcp in [true, false] {
-            in_doubt_case(protocol, tcp);
-        }
+        in_doubt_case(protocol, 1, |configs| {
+            TcpCluster::start(configs).expect("bind loopback")
+        });
+        in_doubt_case(protocol, 4, LiveCluster::start);
     }
 }
 
-fn in_doubt_case(protocol: ProtocolKind, tcp: bool) {
+fn in_doubt_case<N: Net>(
+    protocol: ProtocolKind,
+    lanes: usize,
+    start: impl FnOnce(Vec<LiveNodeConfig>) -> Cluster<N>,
+) {
     let outage = Duration::from_millis(80);
-    let lanes = if tcp { 1 } else { 4 };
-    let ctx = format!("{protocol:?} lanes={lanes} tcp={tcp}");
-    let dir = temp_dir(&format!("indoubt-{protocol:?}-{tcp}"));
+    // The lane count names the cell: TCP runs one, channels four.
+    let ctx = format!("{protocol:?} lanes={lanes}");
+    let dir = temp_dir(&format!("indoubt-{protocol:?}-{lanes}"));
     let root = NodeId(0);
     let victim = NodeId(1);
     let cfg = || {
@@ -340,46 +345,22 @@ fn in_doubt_case(protocol: ProtocolKind, tcp: bool) {
             .with_lanes(lanes)
             .with_timeouts(chaos_timeouts())
     };
-    let configs = vec![cfg(), cfg().kill_after_frames(2), cfg()];
-    let work = [(victim, "window/a"), (NodeId(2), "window/b")];
     let reply_timeout = Duration::from_secs(20);
-
-    // The two clusters share the choreography but not a type.
-    let (outcome, s) = if tcp {
-        let mut c = TcpCluster::start(configs)
-            .expect("bind loopback")
-            .with_reply_timeout(reply_timeout);
-        let t = c.begin(root);
-        for (node, key) in work {
-            t.work(node, vec![Op::put(key, "v")]);
-        }
-        let wait = t.commit_async();
-        c.await_death(victim, Duration::from_secs(10))
-            .unwrap_or_else(|e| panic!("{ctx}: victim dies after voting: {e}"));
-        std::thread::sleep(outage);
-        c.restart(victim).expect("restart from WAL");
-        let result = wait.wait_with(reply_timeout).expect("root answers");
-        assert!(c.quiesce(reply_timeout), "{ctx}: must quiesce");
-        let s = c.summary(victim).expect("victim summary");
-        c.shutdown();
-        (result.outcome, s)
-    } else {
-        let mut c = LiveCluster::start(configs).with_reply_timeout(reply_timeout);
-        let t = c.begin(root);
-        for (node, key) in work {
-            t.work(node, vec![Op::put(key, "v")]);
-        }
-        let wait = t.commit_async();
-        c.await_death(victim, Duration::from_secs(10))
-            .unwrap_or_else(|e| panic!("{ctx}: victim dies after voting: {e}"));
-        std::thread::sleep(outage);
-        c.restart(victim).expect("restart from the shared WAL");
-        let result = wait.wait(reply_timeout).expect("root answers");
-        assert!(c.quiesce(reply_timeout), "{ctx}: must quiesce");
-        let s = c.summary(victim).expect("victim summary");
-        c.shutdown();
-        (result.outcome, s)
-    };
+    let mut c =
+        start(vec![cfg(), cfg().kill_after_frames(2), cfg()]).with_reply_timeout(reply_timeout);
+    let t = c.begin(root);
+    for (node, key) in [(victim, "window/a"), (NodeId(2), "window/b")] {
+        t.work(node, vec![Op::put(key, "v")]);
+    }
+    let wait = t.commit_async();
+    c.await_death(victim, Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("{ctx}: victim dies after voting: {e}"));
+    std::thread::sleep(outage);
+    c.restart(victim).expect("restart from the WAL");
+    let outcome = wait.wait(reply_timeout).expect("root answers").outcome;
+    assert!(c.quiesce(reply_timeout), "{ctx}: must quiesce");
+    let s = c.summary(victim).expect("victim summary");
+    c.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(outcome, Outcome::Commit, "{ctx}");
@@ -513,9 +494,7 @@ fn tcp_kill_case(k: u32, expected: Outcome) {
     assert!(s.protocol_state.crashed, "{ctx}");
     c.restart(victim).expect("restart over TCP");
 
-    let result = wait
-        .wait_with(Duration::from_secs(20))
-        .expect("root answers");
+    let result = wait.wait(Duration::from_secs(20)).expect("root answers");
     assert_eq!(result.outcome, expected, "{ctx}");
     assert!(c.quiesce(Duration::from_secs(20)), "{ctx}: must quiesce");
     let (stored, want) = match expected {
