@@ -184,6 +184,17 @@ impl StripedLockManager {
             .sum()
     }
 
+    /// Drops every holder, waiter and counter on every stripe — the empty
+    /// table a crash leaves behind.
+    pub fn clear(&self) {
+        for stripe in &self.stripes {
+            *stripe.lock().expect("stripe poisoned") = LockManager::new();
+        }
+        for shard in &self.touched {
+            shard.lock().expect("touch shard poisoned").clear();
+        }
+    }
+
     /// Counters summed over all stripes.
     pub fn stats(&self) -> LockStats {
         let mut total = LockStats::default();
@@ -316,6 +327,21 @@ mod tests {
             }
         }
         panic!("no second stripe found");
+    }
+
+    #[test]
+    fn clear_drops_holders_waiters_and_counters() {
+        let lm = StripedLockManager::new(4);
+        lm.acquire(t(1), b"x", LockMode::Exclusive, SimTime(0));
+        lm.acquire(t(2), b"x", LockMode::Exclusive, SimTime(1));
+        lm.clear();
+        assert_eq!(lm.active_keys(), 0);
+        assert!(!lm.holds_any(t(1)));
+        assert_eq!(lm.stats(), LockStats::default());
+        assert_eq!(
+            lm.acquire(t(2), b"x", LockMode::Exclusive, SimTime(2)),
+            Acquired::Granted
+        );
     }
 
     #[test]

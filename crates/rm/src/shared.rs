@@ -1,49 +1,79 @@
-//! A concurrently-callable resource manager for multi-lane hosts.
+//! The resource manager: transactional access, 2PC participation and
+//! crash recovery, callable from many coordinator lanes at once.
 //!
-//! [`ResourceManager`](crate::ResourceManager) is deliberately
-//! single-threaded (`&mut self`), which suits the deterministic
-//! simulator. A live node running M coordinator lanes in parallel needs
-//! the opposite: a `&self` RM whose hot paths — lock acquisition, data
-//! access, workspace bookkeeping — never serialize on one global
-//! structure. [`SharedRm`] stripes the committed store by key hash
-//! (co-partitioned with the [`StripedLockManager`]'s stripes) and shards
-//! the per-transaction contexts by txn hash, so lanes working disjoint
-//! keys and transactions proceed without contention.
+//! A live node running M coordinator lanes in parallel needs a `&self`
+//! RM whose hot paths — lock acquisition, data access, workspace
+//! bookkeeping — never serialize on one global structure. [`SharedRm`]
+//! stripes the committed store by key hash (co-partitioned with the
+//! [`StripedLockManager`]'s stripes) and shards the per-transaction
+//! contexts by txn hash, so lanes working disjoint keys and transactions
+//! proceed without contention. The deterministic simulator runs the same
+//! RM with one stripe, where the lock table is exactly the single-table
+//! [`tpc_locks::LockManager`]: same deadlock detector, same grant order.
 //!
-//! The transactional semantics are identical to `ResourceManager` —
-//! same WAL records, same prepare/commit/abort state machine, same
-//! recovery replay — which the multi-lane sim↔live equivalence test
-//! pins down. Logging still goes through the `&mut dyn LogManager` the
-//! caller passes in (each lane holds its own handle to the node's
-//! shared log).
+//! Logging goes through the `&mut dyn LogManager` the caller passes in
+//! (each lane holds its own handle to the node's shared log).
 //!
 //! Lock discipline: at most one internal mutex is ever held at a time;
 //! data is copied out between acquisitions. No path can deadlock on
 //! SharedRm's own locks.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
-use tpc_common::{Error, Lsn, Result, SimDuration, SimTime, TxnId};
+use tpc_common::{Error, Lsn, Result, RmId, SimDuration, SimTime, TxnId};
 use tpc_locks::{stripe_hash, Acquired, LockMode, LockStats, ReleaseGrant, StripedLockManager};
 use tpc_wal::{Durability, LogManager, LogRecord, StreamId};
 
-use crate::manager::{Access, RmConfig, RmPhase};
 use crate::store::KvStore;
+
+/// Static properties of one resource manager.
+#[derive(Clone, Debug)]
+pub struct RmConfig {
+    /// Identity within its node; names the RM's log stream.
+    pub id: RmId,
+}
+
+impl RmConfig {
+    /// The configuration of RM `id`.
+    pub fn new(id: RmId) -> Self {
+        RmConfig { id }
+    }
+}
+
+/// Result of a data access.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Access {
+    /// Read result (or write acknowledgment carrying the old value).
+    Value(Option<Vec<u8>>),
+    /// Blocked on a lock; the owner will be resumed by a release grant.
+    Wait,
+    /// Chosen as a deadlock victim; the transaction must abort.
+    Deadlock,
+}
+
+/// Where a transaction stands inside this RM.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RmPhase {
+    /// Executing; may still read and write.
+    Active,
+    /// Voted YES; holding locks, awaiting the decision (in doubt).
+    Prepared,
+    /// Final: updates applied.
+    Committed,
+    /// Final: updates discarded.
+    Aborted,
+}
 
 /// Shards for the txn-keyed maps (contexts, finished phases). Fixed and
 /// independent of the key-stripe count.
 const TXN_SHARDS: usize = 16;
 
-/// (key, before-image, after-image) of one update, in execution order.
-type UpdateEntry = (Vec<u8>, Option<Vec<u8>>, Option<Vec<u8>>);
-
 #[derive(Debug, Default)]
 struct TxnCtx {
-    /// Pending writes, last-write-wins per key (`None` = delete).
-    workspace: std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Update log in execution order, for redo.
-    updates: Vec<UpdateEntry>,
+    /// Pending writes, last-write-wins per key (`None` = delete). Empty
+    /// exactly when the transaction has updated nothing here.
+    workspace: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     prepared: bool,
 }
 
@@ -202,7 +232,7 @@ impl SharedRm {
             .lock()
             .expect("txn shard poisoned")
             .get(&txn)
-            .map(|c| c.updates.is_empty())
+            .map(|c| c.workspace.is_empty())
             .unwrap_or(true)
     }
 
@@ -290,16 +320,24 @@ impl SharedRm {
             },
             Durability::NonForced,
         )?;
-        let mut shard = self.ctx_shard(txn).lock().expect("txn shard poisoned");
-        let ctx = shard.entry(txn).or_default();
-        ctx.updates
-            .push((key.to_vec(), before.clone(), value.clone()));
-        ctx.workspace.insert(key.to_vec(), value);
+        self.ctx_shard(txn)
+            .lock()
+            .expect("txn shard poisoned")
+            .entry(txn)
+            .or_default()
+            .workspace
+            .insert(key.to_vec(), value);
         Ok(Access::Value(before))
     }
 
-    /// Prepares `txn`: same contract as
-    /// [`ResourceManager::prepare`](crate::ResourceManager::prepare).
+    /// Prepares `txn`: makes its updates stable and guarantees it can go
+    /// either way. `durability` is dictated by the engine: `Forced`
+    /// normally, `NonForced` under the shared-log optimization (the TM's
+    /// commit force carries it).
+    ///
+    /// Read-only eligibility is the *caller's* decision — when the engine
+    /// runs with the read-only optimization it calls
+    /// [`SharedRm::forget_read_only`] instead of preparing.
     pub fn prepare(
         &self,
         txn: TxnId,
@@ -324,12 +362,14 @@ impl SharedRm {
         )
     }
 
-    /// Releases a read-only transaction without logging anything.
+    /// Releases a read-only transaction without logging anything: commit
+    /// and abort are identical for it (§4 *Read Only*). Returns the lock
+    /// grants produced by the early release.
     pub fn forget_read_only(&self, txn: TxnId, now: SimTime) -> Result<Vec<ReleaseGrant>> {
         {
             let mut shard = self.ctx_shard(txn).lock().expect("txn shard poisoned");
             let ctx = shard.remove(&txn).ok_or(Error::UnknownTxn(txn))?;
-            if !ctx.updates.is_empty() {
+            if !ctx.workspace.is_empty() {
                 shard.insert(txn, ctx);
                 return Err(Error::InvalidState(format!(
                     "{txn} performed updates; cannot vote read-only"
@@ -416,7 +456,9 @@ impl SharedRm {
         self.locks.expire_waiters(now, max_wait)
     }
 
-    /// Simulated crash: all volatile state is lost.
+    /// Simulated crash: volatile state (store, lock table and its
+    /// counters, transaction contexts) is lost. Call
+    /// [`SharedRm::recover`] with the durable log afterwards.
     pub fn crash(&self) {
         for s in &self.stores {
             s.lock().expect("store stripe poisoned").clear();
@@ -427,24 +469,14 @@ impl SharedRm {
         for shard in &self.finished {
             shard.lock().expect("finished shard poisoned").clear();
         }
-        // Locks died with the crash: release every holder and waiter.
-        let mut all: Vec<TxnId> = self.locks.waiting_txns();
-        all.extend(self.txns.iter().flat_map(|s| {
-            s.lock()
-                .expect("txn shard poisoned")
-                .keys()
-                .copied()
-                .collect::<Vec<_>>()
-        }));
-        for txn in all {
-            self.locks.release_all(txn, SimTime(0));
-        }
+        self.locks.clear();
     }
 
-    /// Rebuilds state from the durable log, exactly as
-    /// [`ResourceManager::recover`](crate::ResourceManager::recover):
-    /// redo committed, drop unfinished, restore prepared as in-doubt with
-    /// exclusive locks re-acquired. Returns the in-doubt transactions.
+    /// Rebuilds state from the durable log: redoes committed transactions
+    /// in log order, discards aborted/unfinished ones, and restores
+    /// prepared-but-undecided transactions as in-doubt (workspace
+    /// reconstructed, exclusive locks re-acquired so the data stays
+    /// protected while in doubt). Returns the in-doubt transactions.
     pub fn recover(
         &self,
         durable: &[(Lsn, StreamId, LogRecord)],
@@ -459,16 +491,13 @@ impl SharedRm {
             }
             match record {
                 LogRecord::RmUpdate {
-                    txn,
-                    key,
-                    before,
-                    after,
-                    ..
+                    txn, key, after, ..
                 } => {
-                    let ctx = pending.entry(*txn).or_default();
-                    ctx.updates
-                        .push((key.clone(), before.clone(), after.clone()));
-                    ctx.workspace.insert(key.clone(), after.clone());
+                    pending
+                        .entry(*txn)
+                        .or_default()
+                        .workspace
+                        .insert(key.clone(), after.clone());
                 }
                 LogRecord::RmPrepared { txn, .. } => {
                     pending.entry(*txn).or_default().prepared = true;
@@ -516,6 +545,8 @@ impl SharedRm {
                     .insert(txn, ctx);
                 in_doubt.push(txn);
             }
+            // Unprepared work simply evaporates: its updates were never
+            // applied to the store and its locks died with the crash.
         }
         in_doubt.sort();
         Ok(in_doubt)
@@ -525,7 +556,7 @@ impl SharedRm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpc_common::{NodeId, RmId};
+    use tpc_common::NodeId;
     use tpc_wal::MemLog;
 
     fn t(n: u64) -> TxnId {
@@ -564,59 +595,172 @@ mod tests {
     }
 
     #[test]
-    fn semantics_match_single_threaded_rm() {
-        // The same script against ResourceManager and SharedRm must
-        // produce the same store, phases and log records.
-        let mut single = crate::ResourceManager::new(RmConfig::new(RmId(1)));
-        let shared = rm(4);
-        let mut log_a = MemLog::new();
-        let mut log_b = MemLog::new();
+    fn one_stripe_matches_four_stripes() {
+        // The same script at 1 and 4 stripes must produce the same store,
+        // phases and log records.
+        let script = |r: &SharedRm, log: &mut MemLog| {
+            for (txn, key, val) in [(1u64, "a", "1"), (2, "b", "2"), (1, "c", "3")] {
+                write_ok(r, t(txn), key.as_bytes(), val.as_bytes(), log);
+            }
+            for txn in [1u64, 2] {
+                r.prepare(t(txn), log, Durability::Forced).unwrap();
+            }
+            r.commit(t(1), log, Durability::Forced, SimTime(1)).unwrap();
+            r.abort(t(2), log, Durability::NonForced, SimTime(2))
+                .unwrap();
+        };
+        let (single, striped) = (rm(1), rm(4));
+        let (mut log_a, mut log_b) = (MemLog::new(), MemLog::new());
+        script(&single, &mut log_a);
+        script(&striped, &mut log_b);
 
-        for (txn, key, val) in [(1u64, "a", "1"), (2, "b", "2"), (1, "c", "3")] {
-            single
-                .write(
-                    t(txn),
-                    key.as_bytes(),
-                    Some(val.into()),
-                    &mut log_a,
-                    SimTime(0),
-                )
-                .unwrap();
-            shared
-                .write(
-                    t(txn),
-                    key.as_bytes(),
-                    Some(val.into()),
-                    &mut log_b,
-                    SimTime(0),
-                )
-                .unwrap();
-        }
-        for harness in [1u64, 2] {
-            single
-                .prepare(t(harness), &mut log_a, Durability::Forced)
-                .unwrap();
-            shared
-                .prepare(t(harness), &mut log_b, Durability::Forced)
-                .unwrap();
-        }
-        single
-            .commit(t(1), &mut log_a, Durability::Forced, SimTime(1))
-            .unwrap();
-        shared
-            .commit(t(1), &mut log_b, Durability::Forced, SimTime(1))
-            .unwrap();
-        single
-            .abort(t(2), &mut log_a, Durability::NonForced, SimTime(2))
-            .unwrap();
-        shared
-            .abort(t(2), &mut log_b, Durability::NonForced, SimTime(2))
-            .unwrap();
-
-        assert_eq!(*single.store(), shared.store_snapshot());
+        assert_eq!(single.store_snapshot(), striped.store_snapshot());
         assert_eq!(log_a.stats(), log_b.stats());
-        assert_eq!(single.phase(t(1)), shared.phase(t(1)));
-        assert_eq!(single.phase(t(2)), shared.phase(t(2)));
+        assert_eq!(single.phase(t(1)), striped.phase(t(1)));
+        assert_eq!(single.phase(t(2)), striped.phase(t(2)));
+    }
+
+    #[test]
+    fn read_your_own_writes() {
+        let r = rm(1);
+        let mut log = MemLog::new();
+        write_ok(&r, t(1), b"k", b"v", &mut log);
+        assert_eq!(
+            r.read(t(1), b"k", SimTime(0)).unwrap(),
+            Access::Value(Some(b"v".to_vec()))
+        );
+        // Not visible in the committed store yet.
+        assert_eq!(r.get(b"k"), None);
+    }
+
+    #[test]
+    fn abort_of_unknown_txn_is_legal() {
+        let r = rm(1);
+        let mut log = MemLog::new();
+        assert!(r
+            .abort(t(9), &mut log, Durability::NonForced, SimTime(0))
+            .is_ok());
+        assert_eq!(r.phase(t(9)), Some(RmPhase::Aborted));
+    }
+
+    #[test]
+    fn prepared_txn_rejects_further_access() {
+        let r = rm(1);
+        let mut log = MemLog::new();
+        write_ok(&r, t(1), b"k", b"v", &mut log);
+        r.prepare(t(1), &mut log, Durability::Forced).unwrap();
+        assert!(r.read(t(1), b"k", SimTime(0)).is_err());
+        assert!(r
+            .write(t(1), b"k", Some(b"w".to_vec()), &mut log, SimTime(0))
+            .is_err());
+        assert_eq!(r.in_doubt(), vec![t(1)]);
+    }
+
+    #[test]
+    fn read_only_detection_and_forget() {
+        let r = rm(1);
+        let mut log = MemLog::new();
+        write_ok(&r, t(1), b"k", b"v", &mut log);
+        r.prepare(t(1), &mut log, Durability::Forced).unwrap();
+        r.commit(t(1), &mut log, Durability::Forced, SimTime(0))
+            .unwrap();
+        let before = log.stats();
+
+        assert_eq!(
+            r.read(t(2), b"k", SimTime(1)).unwrap(),
+            Access::Value(Some(b"v".to_vec()))
+        );
+        assert!(r.is_read_only(t(2)));
+        r.forget_read_only(t(2), SimTime(2)).unwrap();
+        // No log writes at all for the read-only participant.
+        assert_eq!(log.stats(), before);
+        assert!(!r.locks.holds_any(t(2)));
+    }
+
+    #[test]
+    fn forget_read_only_rejected_after_update() {
+        let r = rm(1);
+        let mut log = MemLog::new();
+        write_ok(&r, t(1), b"k", b"v", &mut log);
+        assert!(!r.is_read_only(t(1)));
+        assert!(r.forget_read_only(t(1), SimTime(0)).is_err());
+        // The rejected transaction keeps its context and its lock.
+        assert_eq!(r.phase(t(1)), Some(RmPhase::Active));
+        assert!(r.locks.holds_any(t(1)));
+    }
+
+    #[test]
+    fn crash_before_prepare_releases_every_lock() {
+        let r = rm(1);
+        let mut log = MemLog::new();
+        write_ok(&r, t(1), b"k", b"v", &mut log);
+        log.crash();
+        log.restart();
+        let in_doubt = r.recover(&log.durable_records(), SimTime(0)).unwrap();
+        assert!(in_doubt.is_empty());
+        assert_eq!(r.get(b"k"), None);
+        assert_eq!(r.locked_keys(), 0);
+        assert_eq!(
+            r.write(t(2), b"k", Some(b"w".to_vec()), &mut log, SimTime(1))
+                .unwrap(),
+            Access::Value(None)
+        );
+    }
+
+    #[test]
+    fn unforced_commit_record_lost_on_crash_leaves_in_doubt() {
+        // Shared-log scenario: RmCommitted was non-forced and the TM force
+        // never happened before the crash — the RM must come back in
+        // doubt, not committed.
+        let r = rm(1);
+        let mut log = MemLog::new();
+        write_ok(&r, t(1), b"k", b"v", &mut log);
+        r.prepare(t(1), &mut log, Durability::Forced).unwrap();
+        r.commit(t(1), &mut log, Durability::NonForced, SimTime(1))
+            .unwrap();
+        log.crash();
+        log.restart();
+        let in_doubt = r.recover(&log.durable_records(), SimTime(2)).unwrap();
+        assert_eq!(in_doubt, vec![t(1)]);
+        assert_eq!(r.get(b"k"), None);
+    }
+
+    #[test]
+    fn crash_after_commit_redoes_idempotently() {
+        let r = rm(1);
+        let mut log = MemLog::new();
+        write_ok(&r, t(1), b"k", b"v", &mut log);
+        r.prepare(t(1), &mut log, Durability::Forced).unwrap();
+        r.commit(t(1), &mut log, Durability::Forced, SimTime(1))
+            .unwrap();
+        log.crash();
+        log.restart();
+        let in_doubt = r.recover(&log.durable_records(), SimTime(2)).unwrap();
+        assert!(in_doubt.is_empty());
+        assert_eq!(r.get(b"k"), Some(b"v".to_vec()));
+        assert_eq!(r.phase(t(1)), Some(RmPhase::Committed));
+        let first = r.store_snapshot();
+        r.recover(&log.durable_records(), SimTime(3)).unwrap();
+        assert_eq!(r.store_snapshot(), first);
+    }
+
+    #[test]
+    fn delete_roundtrip() {
+        let r = rm(1);
+        let mut log = MemLog::new();
+        write_ok(&r, t(1), b"k", b"v", &mut log);
+        r.prepare(t(1), &mut log, Durability::Forced).unwrap();
+        r.commit(t(1), &mut log, Durability::Forced, SimTime(1))
+            .unwrap();
+        assert_eq!(
+            r.write(t(2), b"k", None, &mut log, SimTime(2)).unwrap(),
+            Access::Value(Some(b"v".to_vec()))
+        );
+        r.prepare(t(2), &mut log, Durability::Forced).unwrap();
+        r.commit(t(2), &mut log, Durability::Forced, SimTime(3))
+            .unwrap();
+        assert_eq!(r.get(b"k"), None);
+        assert_eq!(r.store_len(), 0);
     }
 
     #[test]

@@ -11,15 +11,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use tpc_common::{Error, NodeId, Op, PooledBuf, Result, TxnId};
-use tpc_rm::SharedRm;
+use tpc_common::{Error, NodeId, Op, PooledBuf, Result, RmId, TxnId};
+use tpc_rm::{RmConfig, SharedRm};
 use tpc_wal::SharedLog;
 
 use crate::fault::{FaultPlan, FaultStats, FaultyWire};
 use crate::node::{
-    create_log, lane_of, make_obs, recover_lanes, reopen_log, rm_config, tail_counts, AckSlot,
-    AppCmd, CommitResult, Inbound, IoHealth, LaneParts, LiveNodeConfig, LogRole, NodeSummary,
-    NodeWorker, Transport,
+    create_log, lane_of, make_obs, recover_lanes, reopen_log, tail_counts, AckSlot, AppCmd,
+    CommitResult, Inbound, IoHealth, LaneParts, LiveNodeConfig, LogRole, NodeSummary, NodeWorker,
+    Transport,
 };
 use crate::signal::ClusterSignal;
 
@@ -225,7 +225,10 @@ impl<N: Net> Cluster<N> {
         if recovered {
             cfg.storage_faults = None;
         }
-        let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
+        let rm = Arc::new(SharedRm::new(
+            RmConfig::new(RmId(0)),
+            cfg.effective_stripes(),
+        ));
         // Observability attaches before recovery so the recovered
         // in-doubt windows re-open at their durable `prepared_at`
         // instants (covering the outage, not just the tail after it).

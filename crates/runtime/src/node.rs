@@ -17,8 +17,7 @@ use tpc_common::config::GroupCommitConfig;
 use tpc_common::wire::{Decode, Encode};
 use tpc_common::{
     decode_ops, BufferPool, DamageReport, Error, HeuristicPolicy, NodeId, Op, OptimizationConfig,
-    Outcome, PoolStats, PooledBuf, ProtocolKind, Result, RmId, SimDuration, SimTime, TraceCtx,
-    TxnId,
+    Outcome, PoolStats, PooledBuf, ProtocolKind, Result, SimDuration, SimTime, TraceCtx, TxnId,
 };
 use tpc_core::driver::rm_log_slot;
 use tpc_core::messages::{Bundle, Frame};
@@ -32,7 +31,7 @@ use tpc_obs::{
     FlightEvent, FlightKind, FlightRecorder, Obs, ObsSnapshot, Phase, Timeline, TimelineCounter,
     TimelineGauge, TimelineSnapshot, FLIGHT_CAP,
 };
-use tpc_rm::{Access, RmConfig, SharedRm};
+use tpc_rm::{Access, SharedRm};
 use tpc_wal::file::{FileLog, TailState};
 use tpc_wal::{
     Durability, FaultyLog, FlushDecision, GroupCommitter, GroupStats, LogManager, LogRecord,
@@ -1853,14 +1852,6 @@ fn fresh_driver(
         driver.set_obs(Arc::clone(o));
     }
     Ok(driver)
-}
-
-pub(crate) fn rm_config(cfg: &LiveNodeConfig) -> RmConfig {
-    if cfg.reliable {
-        RmConfig::new(RmId(0)).reliable()
-    } else {
-        RmConfig::new(RmId(0))
-    }
 }
 
 impl<T: Transport> NodeWorker<T> {

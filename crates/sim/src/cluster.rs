@@ -29,7 +29,7 @@ use tpc_obs::{Obs, ObsSnapshot, Phase, Timeline};
 const SIM_TIMELINE_WINDOW_US: u64 = 1_000;
 /// Ring length of the sim timeline.
 const SIM_TIMELINE_WINDOWS: usize = 256;
-use tpc_rm::{Access, ResourceManager, RmConfig};
+use tpc_rm::{Access, RmConfig, SharedRm};
 use tpc_simnet::{LatencyModel, Network, Partition, Scheduler};
 use tpc_wal::{Durability, FlushDecision, GroupCommitter, LogManager, LogRecord, MemLog, StreamId};
 
@@ -223,7 +223,7 @@ fn route_rm(key: &[u8], rm_count: usize) -> usize {
 /// `None` under the shared-log optimization: records then go to the TM
 /// log and ride its forces (see [`rm_log_slot`]).
 struct RmSlot {
-    rm: ResourceManager,
+    rm: SharedRm,
     log: Option<MemLog>,
 }
 
@@ -765,11 +765,8 @@ impl Sim {
         let rms: Vec<RmSlot> = if self.cfg.real_mode {
             (0..cfg.rm_count.max(1))
                 .map(|i| RmSlot {
-                    rm: ResourceManager::new(if cfg.reliable {
-                        RmConfig::new(tpc_common::RmId(i as u16)).reliable()
-                    } else {
-                        RmConfig::new(tpc_common::RmId(i as u16))
-                    }),
+                    // One stripe: the deterministic single-table lock manager.
+                    rm: SharedRm::new(RmConfig::new(tpc_common::RmId(i as u16)), 1),
                     log: if cfg.opts.shared_log {
                         None // records go into the TM log
                     } else {
@@ -894,12 +891,12 @@ impl Sim {
     }
 
     /// Read access to a node's first resource manager (real mode).
-    pub fn rm(&self, node: NodeId) -> Option<&ResourceManager> {
+    pub fn rm(&self, node: NodeId) -> Option<&SharedRm> {
         self.nodes[node.index()].state.rms.first().map(|s| &s.rm)
     }
 
     /// Read access to all of a node's resource managers (real mode).
-    pub fn rms(&self, node: NodeId) -> impl Iterator<Item = &ResourceManager> {
+    pub fn rms(&self, node: NodeId) -> impl Iterator<Item = &SharedRm> {
         self.nodes[node.index()].state.rms.iter().map(|s| &s.rm)
     }
 
@@ -1526,15 +1523,7 @@ impl Sim {
                 };
                 rm_writes += w;
                 rm_forced += f;
-                let s = slot.rm.lock_stats();
-                locks.requests += s.requests;
-                locks.immediate_grants += s.immediate_grants;
-                locks.waits += s.waits;
-                locks.deadlocks += s.deadlocks;
-                locks.releases += s.releases;
-                locks.total_hold_micros += s.total_hold_micros;
-                locks.max_hold_micros = locks.max_hold_micros.max(s.max_hold_micros);
-                locks.total_wait_micros += s.total_wait_micros;
+                locks.merge(&slot.rm.lock_stats());
             }
             per_node.push(NodeReport {
                 node,
@@ -1563,10 +1552,6 @@ impl Sim {
             .iter()
             .enumerate()
             .map(|(i, n)| (NodeId(i as u32), n.driver.engine()))
-    }
-
-    pub(crate) fn rms_of(&self, node: NodeId) -> impl Iterator<Item = &ResourceManager> {
-        self.nodes[node.index()].state.rms.iter().map(|s| &s.rm)
     }
 
     pub(crate) fn is_crashed(&self, node: NodeId) -> bool {

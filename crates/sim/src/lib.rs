@@ -5,7 +5,7 @@
 //!
 //! A [`Sim`] hosts any number of nodes (each one a sans-IO
 //! [`tpc_core::TmEngine`] plus a [`tpc_wal::MemLog`] and, in *real* mode,
-//! a [`tpc_rm::ResourceManager`]), delivers frames with configurable
+//! a [`tpc_rm::SharedRm`] at one stripe), delivers frames with configurable
 //! latency, injects crashes and partitions, and counts exactly what the
 //! paper's evaluation counts: message flows, log writes (forced and
 //! non-forced), lock hold time, and heuristic-damage reporting fidelity.

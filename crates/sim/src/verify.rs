@@ -38,7 +38,7 @@ pub fn check(sim: &Sim, outcomes: &[TxnResult]) -> (Vec<String>, Vec<(NodeId, Tx
     if unresolved.is_empty() && all_up {
         for i in 0..sim.len() {
             let node = NodeId(i as u32);
-            for rm in sim.rms_of(node) {
+            for rm in sim.rms(node) {
                 if rm.locked_keys() != 0 {
                     violations.push(format!(
                         "{node}/{}: {} keys still locked after quiescence",

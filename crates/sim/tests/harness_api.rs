@@ -114,7 +114,7 @@ fn local_only_transaction_needs_no_network() {
     report.assert_clean();
     assert_eq!(report.single().outcome, Outcome::Commit);
     assert_eq!(report.total_frames(), 0, "no partners, no frames");
-    assert_eq!(sim.rm(solo).unwrap().store().get(b"k"), Some(&b"v"[..]));
+    assert_eq!(sim.rm(solo).unwrap().get(b"k"), Some(b"v".to_vec()));
     // One-participant commit still logs its decision durably.
     assert!(report.per_node[0].tm_forced >= 1);
 }

@@ -62,8 +62,8 @@ fn keys_route_to_distinct_resource_managers() {
     let rms: Vec<_> = sim.rms(server).collect();
     assert_eq!(rms.len(), 3);
     for (i, rm) in rms.iter().enumerate() {
-        assert_eq!(rm.store().len(), 1, "RM {i} holds one key");
-        assert_eq!(rm.store().get(KEYS[i].as_bytes()), Some(&b"v"[..]));
+        assert_eq!(rm.store_len(), 1, "RM {i} holds one key");
+        assert_eq!(rm.get(KEYS[i].as_bytes()), Some(b"v".to_vec()));
     }
 }
 
@@ -114,8 +114,8 @@ fn multi_rm_recovery_rebuilds_every_store() {
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     for (i, rm) in sim.rms(server).enumerate() {
         assert_eq!(
-            rm.store().get(KEYS[i].as_bytes()),
-            Some(&b"v"[..]),
+            rm.get(KEYS[i].as_bytes()),
+            Some(b"v".to_vec()),
             "RM {i} must redo its committed key"
         );
     }

@@ -6,11 +6,7 @@ use tpc_common::{OptimizationConfig, Outcome, ProtocolKind, SimDuration, SimTime
 use tpc_sim::{NodeConfig, Op, Sim, SimConfig, TxnSpec, WorkEdge};
 
 fn store_value(sim: &Sim, node: tpc_common::NodeId, key: &str) -> Option<Vec<u8>> {
-    sim.rm(node)
-        .expect("real mode")
-        .store()
-        .get(key.as_bytes())
-        .map(|v| v.to_vec())
+    sim.rm(node).expect("real mode").get(key.as_bytes())
 }
 
 #[test]

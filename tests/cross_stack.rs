@@ -332,7 +332,7 @@ fn facade_reexports_compose() {
     let report = sim.run();
     report.assert_clean();
     assert_eq!(report.single().outcome, Outcome::Commit);
-    assert_eq!(sim.rm(b).unwrap().store().get(b"r"), Some(&b"2"[..]));
+    assert_eq!(sim.rm(b).unwrap().get(b"r"), Some(b"2".to_vec()));
 }
 
 #[test]

@@ -168,7 +168,7 @@ proptest! {
             prop_assert_eq!(sim.rm(node).unwrap().locked_keys(), 0);
             // The last transaction's committed values are present.
             let key = format!("t{}/n{}", txn_count - 1, node.0);
-            prop_assert!(sim.rm(node).unwrap().store().get(key.as_bytes()).is_some());
+            prop_assert!(sim.rm(node).unwrap().get(key.as_bytes()).is_some());
         }
     }
 }
