@@ -82,7 +82,7 @@ impl Decode for Op {
 pub fn encode_ops(ops: &[Op]) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_seq(ops);
-    e.finish().to_vec()
+    e.finish()
 }
 
 /// Decodes a `Work` payload back into ops.

@@ -1,11 +1,10 @@
 //! Reusable frame-buffer pool for the wire hot path.
 //!
-//! Every message the live runtime sends used to allocate at least twice:
-//! once encoding into a fresh `BytesMut` and once copying the frozen
-//! bytes into the `Vec<u8>` handed to the transport, plus a third
-//! allocation in the TCP sender's coalescing batch. [`BufferPool`] keeps
-//! a bounded free list of `Vec<u8>` buffers so the steady state recycles
-//! capacity instead of round-tripping the allocator per frame.
+//! Without a pool every message the live runtime sends allocates a fresh
+//! `Vec<u8>` to encode into and frees it once the transport is done.
+//! [`BufferPool`] keeps a bounded free list of `Vec<u8>` buffers so the
+//! steady state recycles capacity instead of round-tripping the
+//! allocator per frame.
 //!
 //! A [`PooledBuf`] checked out of the pool derefs to `Vec<u8>`; encoding
 //! appends straight into it (see `Encode::encode_append`), the transport

@@ -7,70 +7,67 @@
 //! CRC-32 checksum by the WAL and the TCP transport.
 //!
 //! The codec is intentionally boring: fixed-width integers, `u32`-prefixed
-//! byte strings, and `u32`-prefixed sequences. Every `Decode` implementation
-//! validates lengths against the remaining buffer so a corrupt or truncated
-//! frame yields [`Error::Codec`] instead of a panic.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//! byte strings, and `u32`-prefixed sequences, written straight into a
+//! `Vec<u8>` and read back from a borrowed slice. Every `Decode`
+//! implementation validates lengths against the remaining buffer so a
+//! corrupt or truncated frame yields [`Error::Codec`] instead of a panic.
 
 use crate::error::{Error, Result};
 
 /// Serializes values into a growable buffer.
 #[derive(Default)]
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Encoder {
     /// Creates an empty encoder.
     pub fn new() -> Self {
-        Encoder {
-            buf: BytesMut::with_capacity(64),
-        }
+        Self::with_capacity(64)
     }
 
     /// Creates an encoder with the given initial capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Encoder {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
     /// Appends a single byte.
     #[inline]
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
     #[inline]
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
     #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a boolean as one byte (0 or 1).
     #[inline]
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.put_u8(u8::from(v));
+        self.buf.push(u8::from(v));
     }
 
     /// Appends a `u32` length prefix followed by the raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         debug_assert!(v.len() <= u32::MAX as usize);
-        self.buf.put_u32_le(v.len() as u32);
-        self.buf.put_slice(v);
+        self.put_u32(v.len() as u32);
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -81,7 +78,7 @@ impl Encoder {
     /// Appends a length-prefixed sequence of encodable values.
     pub fn put_seq<T: Encode>(&mut self, items: &[T]) {
         debug_assert!(items.len() <= u32::MAX as usize);
-        self.buf.put_u32_le(items.len() as u32);
+        self.put_u32(items.len() as u32);
         for item in items {
             item.encode(self);
         }
@@ -109,20 +106,8 @@ impl Encoder {
     }
 
     /// Finalizes the buffer.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
-    }
-
-    /// Wraps an existing vector (appending after its current contents),
-    /// so a pooled buffer can be encoded into without reallocating.
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        Encoder { buf: buf.into() }
-    }
-
-    /// Finalizes into the backing vector without the `Arc` copy that
-    /// [`Encoder::finish`] pays — the zero-copy exit for pooled buffers.
-    pub fn finish_vec(self) -> Vec<u8> {
-        self.buf.into()
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 }
 
@@ -137,39 +122,44 @@ impl<'a> Decoder<'a> {
         Decoder { buf }
     }
 
-    fn need(&self, n: usize) -> Result<()> {
-        if self.buf.remaining() < n {
-            Err(Error::Codec(format!(
+    /// Consumes the next `n` bytes, or fails without consuming any.
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if self.buf.len() < n {
+            return Err(Error::Codec(format!(
                 "buffer underrun: need {n} bytes, have {}",
-                self.buf.remaining()
-            )))
-        } else {
-            Ok(())
+                self.buf.len()
+            )));
         }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// Consumes the next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
     /// Reads a single byte.
     pub fn get_u8(&mut self) -> Result<u8> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
     pub fn get_u16(&mut self) -> Result<u16> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        self.take_array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        self.take_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        self.take_array().map(u64::from_le_bytes)
     }
 
     /// Reads a boolean, rejecting bytes other than 0/1.
@@ -184,10 +174,7 @@ impl<'a> Decoder<'a> {
     /// Reads a `u32`-length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
         let len = self.get_u32()? as usize;
-        self.need(len)?;
-        let out = self.buf[..len].to_vec();
-        self.buf.advance(len);
-        Ok(out)
+        Ok(self.take(len)?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -201,10 +188,10 @@ impl<'a> Decoder<'a> {
         let len = self.get_u32()? as usize;
         // Guard against absurd lengths in corrupt frames: each element needs
         // at least one byte on the wire for every codec we define.
-        if len > self.buf.remaining() {
+        if len > self.buf.len() {
             return Err(Error::Codec(format!(
                 "sequence length {len} exceeds remaining {} bytes",
-                self.buf.remaining()
+                self.buf.len()
             )));
         }
         let mut out = Vec::with_capacity(len);
@@ -225,7 +212,7 @@ impl<'a> Decoder<'a> {
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len()
     }
 
     /// True when the whole buffer was consumed.
@@ -240,18 +227,20 @@ pub trait Encode {
     fn encode(&self, e: &mut Encoder);
 
     /// Convenience: encode into a fresh buffer.
-    fn encode_to_bytes(&self) -> Bytes {
+    fn encode_to_bytes(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         self.encode(&mut e);
         e.finish()
     }
 
-    /// Encodes onto the end of `out` in place — no intermediate buffer,
-    /// no `Arc` copy. This is the hot-path entry for pooled buffers.
+    /// Encodes onto the end of `out` in place, reusing its capacity —
+    /// the hot-path entry for pooled buffers.
     fn encode_append(&self, out: &mut Vec<u8>) {
-        let mut e = Encoder::from_vec(std::mem::take(out));
+        let mut e = Encoder {
+            buf: std::mem::take(out),
+        };
         self.encode(&mut e);
-        *out = e.finish_vec();
+        *out = e.finish();
     }
 }
 

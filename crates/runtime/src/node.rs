@@ -1221,7 +1221,7 @@ impl<T: Transport> Wire for LiveHost<T> {
             msgs.extend(slot.drain_for(to, lane));
         }
         // Encode straight into a pooled buffer: no intermediate
-        // BytesMut, no freeze copy, no per-send Vec — the buffer's
+        // buffer, no per-send Vec — the buffer's
         // capacity comes back to the pool when the transport (or the
         // receiving worker, in-process) drops it.
         let mut bytes = self.pool.checkout();
