@@ -2574,6 +2574,7 @@ mod tests {
         /// lane, and the counters reconcile to parked = piggybacked +
         /// flushed once the lanes drain their leftovers — the shutdown
         /// path. No ack is ever duplicated or lost.
+        #[test]
         fn ack_slot_interleavings_conserve_acks(
             raw in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..=64)
         ) {

@@ -1539,6 +1539,7 @@ mod tests {
         /// full socket buffer, or cut short and finished by the sender
         /// thread), every frame arrives exactly once and in per-peer
         /// order.
+        #[test]
         fn sends_arrive_exactly_once_in_per_peer_order(
             steps in prop::collection::vec(step(), 1..40)
         ) {
