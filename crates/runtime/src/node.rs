@@ -448,14 +448,6 @@ pub struct LiveNodeConfig {
     /// [`SharedRm`] and one transport identity. Transactions map to
     /// lanes by `txn.seq % lanes`, consistently cluster-wide.
     pub lanes: usize,
-    /// Key stripes for the shared RM's lock table and store. `None`
-    /// picks 1 for single-lane nodes (preserving single-table deadlock
-    /// detection) and 16 for multi-lane ones.
-    pub stripes: Option<usize>,
-    /// Backstop for lock waits that per-stripe cycle detection cannot
-    /// see (cross-stripe and cross-node cycles): waiters older than this
-    /// are aborted as deadlock victims. Only armed on multi-lane nodes.
-    pub lock_wait_timeout: SimDuration,
     /// Seeded storage-fault injection for the node's log device(s);
     /// `None` runs the backend untouched. Cleared on restart (the
     /// replacement disk is healthy), mirroring the wire `FaultPlan`'s
@@ -489,8 +481,6 @@ impl LiveNodeConfig {
             observe: false,
             trace: false,
             lanes: 1,
-            stripes: None,
-            lock_wait_timeout: SimDuration(2_000_000),
             storage_faults: None,
             io_policy: IoErrorPolicy::default(),
             unsolicited: false,
@@ -552,23 +542,15 @@ impl LiveNodeConfig {
         self
     }
 
-    /// Overrides the RM key-stripe count.
-    pub fn with_stripes(mut self, stripes: usize) -> Self {
-        self.stripes = Some(stripes.max(1));
-        self
-    }
-
-    /// Overrides the cross-stripe lock-wait backstop.
-    pub fn with_lock_wait_timeout(mut self, timeout: SimDuration) -> Self {
-        self.lock_wait_timeout = timeout;
-        self
-    }
-
-    /// The effective stripe count: explicit override, else 1 for a
-    /// single-lane node (exact single-table semantics) and 16 for a
-    /// multi-lane one.
+    /// Key stripes for the shared RM's lock table and store: 1 for a
+    /// single-lane node (exact single-table deadlock detection) and 16
+    /// for a multi-lane one.
     pub fn effective_stripes(&self) -> usize {
-        self.stripes.unwrap_or(if self.lanes > 1 { 16 } else { 1 })
+        if self.lanes > 1 {
+            16
+        } else {
+            1
+        }
     }
 
     /// Enables per-phase latency histograms on this node.
@@ -1480,8 +1462,6 @@ pub struct NodeWorker<T: Transport> {
     /// Wall-clock deadline of the oldest unflushed deferred ack; `None`
     /// when nothing is owed.
     ack_deadline: Option<Instant>,
-    /// Cross-stripe lock-wait backstop (multi-lane lane 0 only).
-    lock_wait_timeout: SimDuration,
     /// Next wall-clock instant the lane-0 lock-wait sweep may run
     /// (throttle: the sweep visits every stripe).
     next_lock_sweep: Instant,
@@ -1552,6 +1532,11 @@ pub(crate) fn make_obs(cfg: &LiveNodeConfig) -> Option<Arc<Obs>> {
     obs.set_tracing(cfg.trace);
     Some(obs)
 }
+
+/// Backstop for lock waits that per-stripe cycle detection cannot see
+/// (cross-stripe and cross-node cycles): waiters older than this are
+/// aborted as deadlock victims. Only armed on multi-lane nodes.
+const LOCK_WAIT_TIMEOUT: SimDuration = SimDuration(2_000_000);
 
 /// Live timeline geometry: 250 ms windows × 64 slots ≈ 16 s of history —
 /// wide enough to cover a benchmark cell, narrow enough that a window
@@ -1944,7 +1929,6 @@ impl<T: Transport> NodeWorker<T> {
             unsolicited: cfg.unsolicited || cfg.opts.unsolicited_vote,
             ack_linger: cfg.effective_ack_linger(),
             ack_deadline: None,
-            lock_wait_timeout: cfg.lock_wait_timeout,
             next_lock_sweep: Instant::now() + Duration::from_millis(100),
             next_gauge_sample: Instant::now(),
             signal: parts.signal,
@@ -2101,7 +2085,7 @@ impl<T: Transport> NodeWorker<T> {
         }
         self.next_lock_sweep = wall + Duration::from_millis(100);
         let now = self.host.now();
-        let (victims, grants) = self.host.rm.expire_lock_waits(now, self.lock_wait_timeout);
+        let (victims, grants) = self.host.rm.expire_lock_waits(now, LOCK_WAIT_TIMEOUT);
         if victims.is_empty() && grants.is_empty() {
             return false;
         }
