@@ -317,6 +317,105 @@ fn optimizations_cost_the_same_live_as_simulated() {
     }
 }
 
+/// Alternating commits and rollbacks of a star update through the
+/// simulator: per-node `(tm_writes, tm_forced)` and, per transaction,
+/// whether each node's key is present afterwards.
+fn sim_rollback_costs(protocol: ProtocolKind, txns: usize) -> (Vec<(u64, u64)>, Vec<Vec<bool>>) {
+    let mut sim = Sim::new(SimConfig::default().real());
+    let cfg = NodeConfig::new(protocol);
+    let nodes = [
+        sim.add_node(cfg.clone()),
+        sim.add_node(cfg.clone()),
+        sim.add_node(cfg),
+    ];
+    sim.declare_partner(nodes[0], nodes[1]);
+    sim.declare_partner(nodes[0], nodes[2]);
+    for i in 0..txns {
+        let spec = TxnSpec::star_update(nodes[0], &nodes[1..], &format!("rb{i}"));
+        sim.push_txn(if i % 2 == 1 { spec.aborting() } else { spec });
+    }
+    let report = sim.run();
+    report.assert_clean();
+    let present = (0..txns)
+        .map(|i| {
+            nodes
+                .iter()
+                .map(|&n| {
+                    let key = format!("rb{i}/n{}", n.0);
+                    sim.rm(n).unwrap().get(key.as_bytes()).is_some()
+                })
+                .collect()
+        })
+        .collect();
+    let costs = report
+        .per_node
+        .iter()
+        .map(|n| (n.tm_writes, n.tm_forced))
+        .collect();
+    (costs, present)
+}
+
+/// The same alternating workload against a live cluster, rolling back
+/// with `TxnHandle::abort`.
+fn live_rollback_costs(protocol: ProtocolKind, txns: usize) -> (Vec<(u64, u64)>, Vec<Vec<bool>>) {
+    let cluster = LiveCluster::start(vec![LiveNodeConfig::new(protocol); 3]);
+    let nodes = [NodeId(0), NodeId(1), NodeId(2)];
+    for i in 0..txns {
+        let txn = cluster.begin(nodes[0]);
+        for &n in &nodes {
+            txn.work(n, vec![Op::put(&format!("rb{i}/n{}", n.0), "x")]);
+        }
+        let (result, want) = if i % 2 == 1 {
+            (txn.abort(), Outcome::Abort)
+        } else {
+            (txn.commit(), Outcome::Commit)
+        };
+        assert_eq!(
+            result.expect("root alive").outcome,
+            want,
+            "{protocol} txn {i}"
+        );
+    }
+    assert!(cluster.quiesce(std::time::Duration::from_secs(5)));
+    let present = (0..txns)
+        .map(|i| {
+            nodes
+                .iter()
+                .map(|&n| cluster.read(n, &format!("rb{i}/n{}", n.0)).is_some())
+                .collect()
+        })
+        .collect();
+    let summaries = cluster.shutdown();
+    let costs = summaries
+        .iter()
+        .map(|s| (s.log.writes, s.log.forced_writes))
+        .collect();
+    (costs, present)
+}
+
+/// A rollback costs the same TM log writes and forces live as simulated,
+/// and leaves nothing behind: the rolled-back keys read back absent at
+/// every node while the committed ones between them are present.
+#[test]
+fn rollbacks_cost_the_same_live_as_simulated() {
+    let txns = 4;
+    let expected: Vec<Vec<bool>> = (0..txns).map(|i| vec![i % 2 == 0; 3]).collect();
+    for protocol in [
+        ProtocolKind::Basic,
+        ProtocolKind::PresumedAbort,
+        ProtocolKind::PresumedNothing,
+    ] {
+        let (sim_costs, sim_present) = sim_rollback_costs(protocol, txns);
+        let (live_costs, live_present) = live_rollback_costs(protocol, txns);
+        assert_eq!(
+            sim_costs, live_costs,
+            "{protocol}: per-node (tm_writes, tm_forced) with rollbacks"
+        );
+        assert_eq!(sim_present, expected, "{protocol}: sim store");
+        assert_eq!(live_present, expected, "{protocol}: live store");
+    }
+}
+
 #[test]
 fn facade_reexports_compose() {
     // Exercise the prelude end to end: engine types, sim, runtime.
