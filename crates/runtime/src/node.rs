@@ -1202,10 +1202,9 @@ impl<T: Transport> Wire for LiveHost<T> {
         if let Some(slot) = self.ack_slot.as_ref() {
             msgs.extend(slot.drain_for(to, lane));
         }
-        // Encode straight into a pooled buffer: no intermediate
-        // buffer, no per-send Vec — the buffer's
-        // capacity comes back to the pool when the transport (or the
-        // receiving worker, in-process) drops it.
+        // Encode straight into a pooled buffer, not a per-send Vec: the
+        // buffer's capacity comes back to the pool when the transport
+        // (or the receiving worker, in-process) drops it.
         let mut bytes = self.pool.checkout();
         Frame {
             ctx,
