@@ -17,7 +17,6 @@
 //!
 //! [`FaultPlan`-style]: https://en.wikipedia.org/wiki/Fault_injection
 
-use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -314,10 +313,6 @@ impl LogManager for FaultyLog {
 
     fn flush_batch(&mut self) -> Result<()> {
         self.faulty_sync()
-    }
-
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        self.inner.records()
     }
 
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {

@@ -12,7 +12,6 @@
 //! at the first short, zeroed or corrupt frame, treating everything before
 //! it as the durable prefix — the standard WAL torn-write discipline.
 
-use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -25,7 +24,7 @@ use crate::record::LogRecord;
 
 pub(crate) const HEADER_LEN: usize = 4 + 4 + 1;
 
-pub(crate) fn stream_to_byte(s: StreamId) -> [u8; 1] {
+fn stream_to_byte(s: StreamId) -> [u8; 1] {
     match s {
         StreamId::Tm => [0xFF],
         StreamId::Rm(i) => {
@@ -92,9 +91,6 @@ pub struct FileLog {
     writer: BufWriter<File>,
     /// Byte offset of the next frame == LSN of the next record.
     next_offset: u64,
-    /// In-memory copy of appended records for `records()`; the durable
-    /// view re-reads the file.
-    cache: Vec<(Lsn, StreamId, LogRecord)>,
     stats: LogStats,
     /// What `open` found at the end of the durable prefix.
     recovered_tail: TailState,
@@ -115,7 +111,6 @@ impl FileLog {
             path,
             writer: BufWriter::new(file),
             next_offset: 0,
-            cache: Vec::new(),
             stats: LogStats::default(),
             recovered_tail: TailState::Clean,
             pending_forces: 0,
@@ -130,8 +125,8 @@ impl FileLog {
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let report = scan_classified(&path)?;
-        let recovered = report.records;
-        let next_offset = recovered
+        let next_offset = report
+            .records
             .last()
             .map(|(lsn, _, rec)| lsn.0 + frame_len(rec) as u64)
             .unwrap_or(0);
@@ -142,7 +137,6 @@ impl FileLog {
             path,
             writer: BufWriter::new(file),
             next_offset,
-            cache: recovered,
             stats: LogStats::default(),
             recovered_tail: report.tail,
             pending_forces: 0,
@@ -164,6 +158,21 @@ impl FileLog {
 
 pub(crate) fn frame_len(record: &LogRecord) -> usize {
     HEADER_LEN + record.encode_to_bytes().len()
+}
+
+/// Replaces `buf` with one frame (see the module docs) and returns the
+/// payload length. The record is encoded once, in place; the header words
+/// are patched in after it.
+pub(crate) fn encode_frame(buf: &mut Vec<u8>, stream: StreamId, record: &LogRecord) -> usize {
+    buf.clear();
+    buf.extend_from_slice(&[0; HEADER_LEN - 1]);
+    buf.extend_from_slice(&stream_to_byte(stream));
+    record.encode_append(buf);
+    let payload_len = buf.len() - HEADER_LEN;
+    let crc = crc32(&buf[HEADER_LEN - 1..]);
+    buf[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    buf[4..8].copy_from_slice(&crc.to_le_bytes());
+    payload_len
 }
 
 /// Tries to parse one frame at `off`; returns the record and the offset
@@ -253,26 +262,18 @@ impl FileLog {
         record: LogRecord,
         durability: Durability,
     ) -> Result<Lsn> {
-        let payload = record.encode_to_bytes();
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.extend_from_slice(&stream_to_byte(stream));
-        body.extend_from_slice(&payload);
-        let crc = crc32(&body);
-
+        let mut frame = Vec::new();
+        let payload_len = encode_frame(&mut frame, stream, &record);
         let lsn = Lsn(self.next_offset);
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc.to_le_bytes())?;
-        self.writer.write_all(&body)?;
-        self.next_offset += (HEADER_LEN + payload.len()) as u64;
+        self.writer.write_all(&frame)?;
+        self.next_offset += frame.len() as u64;
 
         self.stats.writes += 1;
-        self.stats.bytes += payload.len() as u64;
+        self.stats.bytes += payload_len as u64;
         if durability.is_forced() {
             self.stats.forced_writes += 1;
             self.pending_forces += 1;
         }
-        self.cache.push((lsn, stream, record));
         Ok(lsn)
     }
 }
@@ -314,13 +315,6 @@ impl LogManager for FileLog {
         Ok(())
     }
 
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        // Borrow the cache instead of deep-cloning the whole history on
-        // every summary or invariant check; callers that need ownership
-        // pay for the copy explicitly via `into_owned`.
-        Cow::Borrowed(&self.cache)
-    }
-
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {
         // What is on disk right now (buffered writes not yet flushed are
         // not durable). Errors degrade to "nothing durable" which is the
@@ -339,21 +333,20 @@ impl LogManager for FileLog {
     fn crash_discard(&mut self) {
         // A dropped `BufWriter` flushes its buffer, which would let
         // non-forced records survive a "crash". Swap in a fresh writer and
-        // dismantle the old one without flushing, then resync in-memory
-        // state to what is actually on disk.
+        // dismantle the old one without flushing, then resync the append
+        // position to what is actually on disk.
         let Ok(file) = OpenOptions::new().write(true).open(&self.path) else {
             return;
         };
         let old = std::mem::replace(&mut self.writer, BufWriter::new(file));
         drop(old.into_parts()); // buffered bytes are discarded, not flushed
-        let durable = scan(&self.path).unwrap_or_default();
-        self.next_offset = durable
+        self.next_offset = scan(&self.path)
+            .unwrap_or_default()
             .last()
             .map(|(lsn, _, rec)| lsn.0 + frame_len(rec) as u64)
             .unwrap_or(0);
         let _ = self.writer.get_mut().set_len(self.next_offset);
         let _ = self.writer.seek(SeekFrom::Start(self.next_offset));
-        self.cache = durable;
         self.pending_forces = 0;
     }
 }
@@ -433,8 +426,9 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
 
         let reopened = FileLog::open(&path).unwrap();
-        assert_eq!(reopened.records().len(), 1);
-        assert_eq!(reopened.records()[0].2.txn().seq, 1);
+        let recovered = reopened.durable_records();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].2.txn().seq, 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -482,7 +476,6 @@ mod tests {
             .unwrap();
         log.crash_discard();
         assert_eq!(log.durable_records().len(), 1);
-        assert_eq!(log.records().len(), 1, "cache resynced to disk");
         // The log keeps working after the simulated crash.
         log.append(StreamId::Tm, end(3), Durability::Forced)
             .unwrap();
@@ -562,7 +555,11 @@ mod tests {
         assert!(report.tail.is_corruption());
         let log = FileLog::open(&path2).unwrap();
         assert!(log.recovered_tail().is_corruption());
-        assert_eq!(log.records().len(), 0, "prefix recovery still applies");
+        assert_eq!(
+            log.durable_records().len(),
+            0,
+            "prefix recovery still applies"
+        );
 
         // Case 3: an untouched file is clean.
         let path3 = tmp("classify-clean");

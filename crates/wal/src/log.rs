@@ -1,7 +1,5 @@
 //! The log-manager interface and its statistics.
 
-use std::borrow::Cow;
-
 use tpc_common::{Lsn, Result};
 
 use crate::record::LogRecord;
@@ -124,16 +122,6 @@ pub trait LogManager {
         self.flush()
     }
 
-    /// All records currently readable (durable and volatile), in order.
-    /// Used by tests and by live (non-crash) inspection.
-    ///
-    /// Returns a [`Cow`] so backends that keep an in-memory cache (the
-    /// file and segmented logs) can lend a borrow instead of deep-cloning
-    /// the whole history per call; backends that must assemble the view
-    /// (the memory log's durable+volatile chain, the mutex-guarded shared
-    /// log) return an owned copy.
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]>;
-
     /// The records that would survive a crash right now, in order.
     /// This is the input to recovery.
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)>;
@@ -183,10 +171,6 @@ impl<L: LogManager + ?Sized> LogManager for Box<L> {
 
     fn flush_batch(&mut self) -> Result<()> {
         (**self).flush_batch()
-    }
-
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        (**self).records()
     }
 
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {

@@ -6,8 +6,6 @@
 //! [`MemLog::crash`] discards the volatile tail — the simulator's model of
 //! losing the log buffer in a system failure.
 
-use std::borrow::Cow;
-
 use tpc_common::wire::Encode;
 use tpc_common::{Error, Lsn, Result};
 
@@ -121,15 +119,6 @@ impl MemLog {
         }
         (writes, forced)
     }
-
-    /// All records with their requested durability, in order.
-    pub fn records_with_durability(&self) -> Vec<(Lsn, StreamId, LogRecord, Durability)> {
-        self.durable
-            .iter()
-            .chain(self.volatile.iter())
-            .map(|e| (e.lsn, e.stream, e.record.clone(), e.durability))
-            .collect()
-    }
 }
 
 impl LogManager for MemLog {
@@ -174,16 +163,6 @@ impl LogManager for MemLog {
         }
         self.note_physical_flush();
         Ok(())
-    }
-
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        Cow::Owned(
-            self.durable
-                .iter()
-                .chain(self.volatile.iter())
-                .map(|e| (e.lsn, e.stream, e.record.clone()))
-                .collect(),
-        )
     }
 
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {
@@ -238,7 +217,6 @@ mod tests {
         log.append(StreamId::Tm, end(1), Durability::NonForced)
             .unwrap();
         assert_eq!(log.durable_records().len(), 0);
-        assert_eq!(log.records().len(), 1);
         assert_eq!(log.volatile_len(), 1);
     }
 

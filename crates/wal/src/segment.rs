@@ -29,11 +29,11 @@
 //!   the *oldest* sealed segment has ended, the segment file is deleted
 //!   (prefix-only truncation keeps the chain contiguous). In-doubt
 //!   transactions — prepared without an outcome — pin their segments.
-//!   Reclamation keys on TM `End` records only: RM streams replay
-//!   `RmUpdate` records to rebuild store state at recovery and never
-//!   write `End`, so a log carrying RM updates simply never reclaims —
-//!   safe by construction (the node runtime still disables retention on
-//!   its RM log outright).
+//!   [`SegmentedLog::reclaim`] keys on TM `End` records only, whatever
+//!   stream wrote a segment's other frames, and deletes from the front of
+//!   the chain only. So a chain shared with RM streams loses committed
+//!   `RmUpdate`/`RmCommitted` redo that recovery still replays to rebuild
+//!   the store — an open data-loss defect, ROADMAP item 17.
 //! * **Crash model.** `crash_discard` drops the buffered writer without
 //!   flushing, re-scans the active segment from disk, and zero-fills the
 //!   non-durable tail — exactly the `FileLog` discipline, adapted to a
@@ -45,16 +45,14 @@
 //! scanned/written by this instance: monotone within a run, comparable
 //! across a recovery scan — the same contract the other backends give.
 
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use tpc_common::wire::{crc32, Encode};
 use tpc_common::{Error, Lsn, Result, TxnId};
 
-use crate::file::{stream_to_byte, try_frame, TailState, HEADER_LEN};
+use crate::file::{encode_frame, try_frame, TailState, HEADER_LEN};
 use crate::log::{Durability, LogManager, LogStats, StreamId};
 use crate::record::LogRecord;
 
@@ -88,8 +86,6 @@ struct SealedSegment {
     path: PathBuf,
     /// Logical LSN of this segment's first frame.
     base: u64,
-    /// Bytes of valid frames (the rest of the file is zero fill).
-    len: u64,
     /// Transactions with at least one frame in this segment.
     txns: HashSet<TxnId>,
 }
@@ -113,7 +109,6 @@ pub struct SegmentedLog {
     active_txns: HashSet<TxnId>,
     /// Transactions whose TM `End` record has been appended.
     ended: HashSet<TxnId>,
-    cache: Vec<(Lsn, StreamId, LogRecord)>,
     stats: LogStats,
     seg_stats: SegmentStats,
     recovered_tail: TailState,
@@ -292,7 +287,6 @@ impl SegmentedLog {
             active_off: 0,
             active_txns: HashSet::new(),
             ended: HashSet::new(),
-            cache: Vec::new(),
             stats: LogStats::default(),
             seg_stats: SegmentStats {
                 segments_created: 1,
@@ -337,7 +331,6 @@ impl SegmentedLog {
         }
 
         let mut sealed = Vec::new();
-        let mut cache = Vec::new();
         let mut ended = HashSet::new();
         let mut base = 0u64;
         let mut tail = TailState::Clean;
@@ -349,12 +342,11 @@ impl SegmentedLog {
             let scan = scan_segment_bytes(&raw);
             let last = i + 1 == segments.len();
             let mut txns = HashSet::new();
-            for (off, stream, rec) in scan.records {
+            for (_, _, rec) in scan.records {
                 txns.insert(rec.txn());
                 if is_end_marker(&rec) {
                     ended.insert(rec.txn());
                 }
-                cache.push((Lsn(base + off), stream, rec));
             }
             if scan.clean {
                 if last {
@@ -363,7 +355,6 @@ impl SegmentedLog {
                     sealed.push(SealedSegment {
                         path: path.clone(),
                         base,
-                        len: scan.stop,
                         txns,
                     });
                     base += scan.stop;
@@ -426,7 +417,6 @@ impl SegmentedLog {
             active_off,
             active_txns,
             ended,
-            cache,
             stats: LogStats::default(),
             seg_stats: SegmentStats::default(),
             recovered_tail: tail,
@@ -479,8 +469,6 @@ impl SegmentedLog {
             }
             let seg = self.sealed.remove(0);
             let _ = fs::remove_file(&seg.path);
-            let cutoff = seg.base + seg.len;
-            self.cache.retain(|(lsn, _, _)| lsn.0 >= cutoff);
             // Drop `ended` markers no longer pinned by any live segment.
             for t in seg.txns {
                 let live = self.active_txns.contains(&t)
@@ -504,7 +492,6 @@ impl SegmentedLog {
         self.sealed.push(SealedSegment {
             path: segment_path(&self.dir, self.active_seq),
             base: self.active_base,
-            len: self.active_off,
             txns: std::mem::take(&mut self.active_txns),
         });
         self.active_base += self.active_off;
@@ -530,18 +517,8 @@ impl SegmentedLog {
         record: LogRecord,
         durability: Durability,
     ) -> Result<Lsn> {
-        // Encode once, straight into the frame's final layout —
-        // `len(payload) | crc(stream ‖ payload) | stream | payload` — with
-        // the two header words patched in once the payload is known.
         let mut frame = std::mem::take(&mut self.scratch);
-        frame.clear();
-        frame.extend_from_slice(&[0; HEADER_LEN - 1]);
-        frame.extend_from_slice(&stream_to_byte(stream));
-        record.encode_append(&mut frame);
-        let payload_len = frame.len() - HEADER_LEN;
-        let crc = crc32(&frame[HEADER_LEN - 1..]);
-        frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        let payload_len = encode_frame(&mut frame, stream, &record);
         let written = self.write_encoded(&frame);
         self.scratch = frame;
         let lsn = written?;
@@ -556,7 +533,6 @@ impl SegmentedLog {
         if is_end_marker(&record) {
             self.ended.insert(record.txn());
         }
-        self.cache.push((lsn, stream, record));
         Ok(lsn)
     }
 
@@ -631,16 +607,13 @@ impl LogManager for SegmentedLog {
         self.sync_active()
     }
 
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        Cow::Borrowed(&self.cache)
-    }
-
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {
         // Disk truth over the whole chain, mirroring the open() walk:
         // sealed segments then the active one, stopping at the first
-        // damage. Errors degrade to "nothing further durable".
+        // damage. Errors degrade to "nothing further durable". LSNs start
+        // at the oldest retained segment, matching what `append` returned.
         let mut out = Vec::new();
-        let mut base = 0u64;
+        let mut base = self.sealed.first().map_or(self.active_base, |s| s.base);
         let chain = self
             .sealed
             .iter()
@@ -695,11 +668,11 @@ impl LogManager for SegmentedLog {
         let _ = self.writer.seek(SeekFrom::Start(stop));
         self.active_off = stop;
         self.active_txns = scan.records.iter().map(|(_, _, r)| r.txn()).collect();
-        let cutoff = self.active_base + stop;
-        self.cache.retain(|(lsn, _, _)| lsn.0 < cutoff);
+        // The torn tail is zeroed, so the retained chain on disk is the
+        // whole truth about which transactions have ended.
         self.ended = self
-            .cache
-            .iter()
+            .durable_records()
+            .into_iter()
             .filter(|(_, _, r)| is_end_marker(r))
             .map(|(_, _, r)| r.txn())
             .collect();
@@ -759,7 +732,7 @@ mod tests {
                 .unwrap();
         }
         let log = SegmentedLog::open(&dir).unwrap();
-        let recs = log.records();
+        let recs = log.durable_records();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].1, StreamId::Tm);
         assert_eq!(recs[1].1, StreamId::Rm(2));
@@ -804,7 +777,7 @@ mod tests {
         // The full history survives a reopen, in order.
         drop(log);
         let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
-        let recs = log.records();
+        let recs = log.durable_records();
         assert_eq!(recs.len(), 20);
         for (i, (_, _, rec)) in recs.iter().enumerate() {
             assert_eq!(rec.txn().seq, i as u64);
@@ -835,7 +808,6 @@ mod tests {
             .unwrap();
         log.crash_discard();
         assert_eq!(log.durable_records().len(), 1);
-        assert_eq!(log.records().len(), 1, "cache resynced to disk");
         log.append(StreamId::Tm, end(3), Durability::Forced)
             .unwrap();
         let durable = log.durable_records();
@@ -893,7 +865,7 @@ mod tests {
 
         let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
         assert_eq!(log.recovered_tail(), TailState::TornTail);
-        let recs = log.records();
+        let recs = log.durable_records();
         assert_eq!(recs.len() as u64, appended, "sealed prefix intact");
         for (i, (_, _, rec)) in recs.iter().enumerate() {
             assert_eq!(rec.txn().seq, i as u64);
@@ -924,7 +896,11 @@ mod tests {
             "later valid frames must classify as corruption, got {:?}",
             log.recovered_tail()
         );
-        assert_eq!(log.records().len(), 0, "prefix recovery still applies");
+        assert_eq!(
+            log.durable_records().len(),
+            0,
+            "prefix recovery still applies"
+        );
         assert_eq!(
             list_segments(&dir).unwrap().len(),
             1,
@@ -982,21 +958,24 @@ mod tests {
             log.segment_count() >= pinned_from,
             "segments at and after the in-doubt txn are retained"
         );
-        let recs = log.records();
+        let recs = log.durable_records();
         assert!(
             recs.iter().any(|(_, _, r)| r.txn() == txn(99)),
-            "in-doubt record survives in cache"
+            "in-doubt record survives on disk"
         );
         assert!(
             recs.iter().all(|(_, _, r)| r.txn() != txn(1)),
-            "reclaimed history leaves the live view"
+            "reclaimed history leaves the durable view"
         );
-        // Reclaimed history is gone from the live view but the chain
+        // Reclaimed history is gone from the durable view but the chain
         // still recovers cleanly.
         drop(log);
         let log = SegmentedLog::open_with(&dir, 256, true).unwrap();
         assert_eq!(log.recovered_tail(), TailState::Clean);
-        assert!(log.records().iter().any(|(_, _, r)| r.txn() == txn(99)));
+        assert!(log
+            .durable_records()
+            .iter()
+            .any(|(_, _, r)| r.txn() == txn(99)));
         rm(&dir);
     }
 
@@ -1045,6 +1024,55 @@ mod tests {
             .unwrap();
         assert!(next > last);
         assert_eq!(log.durable_records().len(), 2);
+        rm(&dir);
+    }
+
+    #[test]
+    fn durable_lsns_match_append_lsns_after_reclaim() {
+        let dir = tmp("lsn-after-reclaim");
+        let mut log = SegmentedLog::create_with(&dir, 256, true).unwrap();
+        let mut appended = Vec::new();
+        for i in 0..40 {
+            for rec in [committed(i), end(i)] {
+                let lsn = log
+                    .append(StreamId::Tm, rec.clone(), Durability::Forced)
+                    .unwrap();
+                appended.push((lsn, StreamId::Tm, rec));
+            }
+        }
+        assert!(log.segment_stats().segments_reclaimed > 0);
+        let durable = log.durable_records();
+        assert!(!durable.is_empty());
+        assert!(durable[0].0 > Lsn(0), "the chain's head was reclaimed");
+        // The durable view is a suffix of what was appended, LSNs included.
+        assert_eq!(durable[..], appended[appended.len() - durable.len()..]);
+        rm(&dir);
+    }
+
+    #[test]
+    fn file_and_segmented_logs_write_identical_frames() {
+        let dir = tmp("same-frames");
+        let path = dir.join("single.log");
+        let mut seg = SegmentedLog::create(&dir).unwrap();
+        let mut file = crate::file::FileLog::create(&path).unwrap();
+        for i in 0..8 {
+            let (stream, durability) = if i % 2 == 0 {
+                (StreamId::Tm, Durability::Forced)
+            } else {
+                (StreamId::Rm(3), Durability::NonForced)
+            };
+            let a = seg.append(stream, committed(i), durability).unwrap();
+            let b = file.append(stream, committed(i), durability).unwrap();
+            assert_eq!(a, b, "same frame lengths give the same LSNs");
+        }
+        seg.flush().unwrap();
+        file.flush().unwrap();
+        assert_eq!(seg.stats(), file.stats());
+        let single = std::fs::read(&path).unwrap();
+        let segment = std::fs::read(segment_path(&dir, 0)).unwrap();
+        assert!(!single.is_empty());
+        assert_eq!(segment[..single.len()], single[..]);
+        assert!(segment[single.len()..].iter().all(|&b| b == 0));
         rm(&dir);
     }
 }

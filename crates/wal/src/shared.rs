@@ -15,7 +15,6 @@
 //! across the physical operation itself, which is the point of a shared
 //! device.
 
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use tpc_common::{Lsn, Result};
@@ -76,12 +75,6 @@ impl LogManager for SharedLog {
         self.lock().flush_batch()
     }
 
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        // The borrow cannot outlive the mutex guard, so the shared view
-        // is the one implementation that must own its copy.
-        Cow::Owned(self.lock().records().into_owned())
-    }
-
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {
         self.lock().durable_records()
     }
@@ -107,7 +100,7 @@ mod tests {
 
     #[test]
     fn clones_append_to_one_stream() {
-        let log = SharedLog::new(Box::new(MemLog::new()));
+        let mut log = SharedLog::new(Box::new(MemLog::new()));
         let mut a = log.clone();
         let mut b = log.clone();
         let t = TxnId::new(NodeId(0), 1);
@@ -126,12 +119,15 @@ mod tests {
             Durability::NonForced,
         )
         .unwrap();
-        assert_eq!(log.records().len(), 2);
         let stats = a.stats();
         assert_eq!(stats.writes, 2);
         assert_eq!(stats.forced_writes, 1);
         // Every clone sees the same stats (one shared device).
         assert_eq!(b.stats(), stats);
+        // The unforced End waits in the shared tail until any clone forces.
+        assert_eq!(log.durable_records().len(), 1);
+        log.flush().unwrap();
+        assert_eq!(log.durable_records().len(), 2);
     }
 
     #[test]
@@ -159,6 +155,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(log.stats().writes, 100);
-        assert_eq!(log.records().len(), 100);
+        assert_eq!(log.durable_records().len(), 100);
     }
 }

@@ -380,7 +380,7 @@ fn parent_wal_image_reopens_with_the_same_records() {
         std::fs::write(dir.join(name), unhex(bytes)).expect("write segment");
     }
     let log = SegmentedLog::open_with(&dir, SEGMENT_BYTES, false).expect("open image");
-    let recovered: Vec<(Lsn, StreamId, LogRecord)> = log.records().into_owned();
+    let recovered: Vec<(Lsn, StreamId, LogRecord)> = log.durable_records();
     let tail = log.recovered_tail();
     drop(log);
     let _ = std::fs::remove_dir_all(&dir);
