@@ -14,6 +14,7 @@
 
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod ops;
 pub mod outcome;
@@ -25,6 +26,7 @@ pub mod wire;
 
 pub use config::{AckMode, HeuristicPolicy, OptimizationConfig, ProtocolKind};
 pub use error::{Error, Result};
+pub use hash::{id_hash, shard_of, IdHasher, IdMap, IdSet};
 pub use ids::{Lsn, NodeId, RmId, TxnId};
 pub use ops::{decode_ops, encode_ops, Op};
 pub use outcome::{DamageReport, HeuristicOutcome, Outcome};

@@ -14,7 +14,7 @@
 //!    every damaged participant appears in the root's report (§3: "the
 //!    root coordinator [must be] informed of any heuristic damage").
 //!
-//! The simulator's end-of-run verification ([`tpc-sim`]'s `verify`) and
+//! The simulator's end-of-run verification (`tpc-sim`'s `verify`) and
 //! the live runtime's chaos harness both delegate here, so a chaos run
 //! over real sockets asserts exactly the invariants the simulator
 //! asserts. The inputs are plain snapshots ([`Seat`] clones), which the

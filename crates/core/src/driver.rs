@@ -28,10 +28,12 @@
 //! driver.stats(), driver.engine().metrics()  // uniform observability
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use tpc_common::{DamageReport, NodeId, Outcome, Result, SimDuration, SimTime, TraceCtx, TxnId};
+use tpc_common::{
+    DamageReport, IdMap, NodeId, Outcome, Result, SimDuration, SimTime, TraceCtx, TxnId,
+};
 use tpc_obs::{Obs, Phase, Span};
 use tpc_wal::{Durability, LogManager, LogRecord};
 
@@ -254,12 +256,12 @@ struct TxnMarks {
 struct ObsState {
     obs: Arc<Obs>,
     node: NodeId,
-    marks: HashMap<TxnId, TxnMarks>,
+    marks: IdMap<TxnId, TxnMarks>,
     /// Monotonic per-driver seat counter (low bits of the seat id).
     next_seat: u64,
     /// Wire trace contexts received before the seat's first event
     /// created its marks entry: txn → parent seat id.
-    remote: HashMap<TxnId, u64>,
+    remote: IdMap<TxnId, u64>,
 }
 
 impl ObsState {
@@ -441,7 +443,7 @@ impl RecoveryStats {
 /// One node's engine plus the shared action interpreter.
 pub struct Driver {
     engine: TmEngine,
-    timer_gen: HashMap<(TxnId, TimerKind), u64>,
+    timer_gen: IdMap<(TxnId, TimerKind), u64>,
     next_gen: u64,
     stats: DriverStats,
     obs: Option<ObsState>,
@@ -453,7 +455,7 @@ impl Driver {
     pub fn new(config: EngineConfig) -> Result<Self> {
         Ok(Driver {
             engine: TmEngine::new(config)?,
-            timer_gen: HashMap::new(),
+            timer_gen: IdMap::default(),
             next_gen: 0,
             stats: DriverStats::default(),
             obs: None,
@@ -470,9 +472,9 @@ impl Driver {
         self.obs = Some(ObsState {
             obs,
             node: self.engine.node(),
-            marks: HashMap::new(),
+            marks: IdMap::default(),
             next_seat: 0,
-            remote: HashMap::new(),
+            remote: IdMap::default(),
         });
     }
 

@@ -14,11 +14,10 @@
 //! and its per-configuration log/flow counts are validated against the
 //! analytic formulas of §4 by the `tpc-bench` table generators.
 
-use std::collections::{HashMap, HashSet};
-
 use tpc_common::{
-    DamageReport, Error, HeuristicOutcome, HeuristicPolicy, Lsn, NodeId, OptimizationConfig,
-    Outcome, ProtocolKind, Result, SimDuration, SimTime, TxnId, Vote, VoteFlags,
+    DamageReport, Error, HeuristicOutcome, HeuristicPolicy, IdMap, IdSet, Lsn, NodeId,
+    OptimizationConfig, Outcome, ProtocolKind, Result, SimDuration, SimTime, TxnId, Vote,
+    VoteFlags,
 };
 use tpc_wal::{Durability, LogRecord, StreamId};
 
@@ -137,12 +136,12 @@ pub struct OwedAck {
 #[derive(Debug)]
 pub struct TmEngine {
     cfg: EngineConfig,
-    seats: HashMap<TxnId, Seat>,
+    seats: IdMap<TxnId, Seat>,
     /// Final seats, kept for recovery queries, re-delivery and reporting.
-    completed: HashMap<TxnId, Seat>,
+    completed: IdMap<TxnId, Seat>,
     /// Durable-outcome index for recovery queries (PA aborts deliberately
     /// absent: they are *presumed*).
-    finished: HashMap<TxnId, Outcome>,
+    finished: IdMap<TxnId, Outcome>,
     /// Acks deferred by long locks or owed as implied acks; they ride on
     /// the next frame to their destination (or are flushed explicitly).
     owed: Vec<OwedAck>,
@@ -150,7 +149,7 @@ pub struct TmEngine {
     /// every commit tree unless the leave-out rule exempts them.
     session_partners: Vec<NodeId>,
     /// Partners whose last committed vote asserted `ok_to_leave_out`.
-    leave_out_ok: HashSet<NodeId>,
+    leave_out_ok: IdSet<NodeId>,
     metrics: EngineMetrics,
 }
 
@@ -160,12 +159,12 @@ impl TmEngine {
         cfg.opts.validate()?;
         Ok(TmEngine {
             cfg,
-            seats: HashMap::new(),
-            completed: HashMap::new(),
-            finished: HashMap::new(),
+            seats: IdMap::default(),
+            completed: IdMap::default(),
+            finished: IdMap::default(),
             owed: Vec::new(),
             session_partners: Vec::new(),
-            leave_out_ok: HashSet::new(),
+            leave_out_ok: IdSet::default(),
             metrics: EngineMetrics::default(),
         })
     }

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use tpc_common::{SimDuration, SimTime, TxnId};
+use tpc_common::{IdMap, IdSet, SimDuration, SimTime, TxnId};
 
 use crate::mode::LockMode;
 
@@ -112,10 +112,10 @@ struct Entry {
 pub struct LockManager {
     table: HashMap<Key, Entry>,
     /// Keys each transaction holds (for `release_all`).
-    held: HashMap<TxnId, HashSet<Key>>,
+    held: IdMap<TxnId, HashSet<Key>>,
     /// Keys each transaction is waiting on (at most one in 2PL, but kept
     /// as a set for robustness).
-    waiting: HashMap<TxnId, HashSet<Key>>,
+    waiting: IdMap<TxnId, HashSet<Key>>,
     stats: LockStats,
 }
 
@@ -226,7 +226,7 @@ impl LockManager {
     /// whose mode is incompatible with its request (for upgrades, the
     /// holder entry of the waiter itself is skipped).
     fn creates_cycle(&self, from: TxnId) -> bool {
-        let mut visited: HashSet<TxnId> = HashSet::new();
+        let mut visited: IdSet<TxnId> = IdSet::default();
         let mut stack = vec![from];
         let mut first = true;
         while let Some(t) = stack.pop() {

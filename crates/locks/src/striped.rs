@@ -15,10 +15,9 @@
 //! can see). With `stripes = 1` the behavior is exactly the single-table
 //! manager's.
 
-use std::collections::HashSet;
 use std::sync::Mutex;
 
-use tpc_common::{SimDuration, SimTime, TxnId};
+use tpc_common::{shard_of, IdMap, IdSet, SimDuration, SimTime, TxnId};
 
 use crate::manager::{Acquired, LockManager, LockStats, ReleaseGrant};
 use crate::mode::LockMode;
@@ -47,7 +46,7 @@ pub struct StripedLockManager {
     stripes: Vec<Mutex<LockManager>>,
     /// Which stripes each txn has touched, sharded by txn hash so
     /// `release_all` visits only relevant stripes without a global map.
-    touched: Vec<Mutex<std::collections::HashMap<TxnId, HashSet<usize>>>>,
+    touched: Vec<Mutex<IdMap<TxnId, IdSet<usize>>>>,
 }
 
 impl StripedLockManager {
@@ -56,15 +55,8 @@ impl StripedLockManager {
         let n = stripes.max(1);
         StripedLockManager {
             stripes: (0..n).map(|_| Mutex::new(LockManager::new())).collect(),
-            touched: (0..TOUCH_SHARDS)
-                .map(|_| Mutex::new(std::collections::HashMap::new()))
-                .collect(),
+            touched: (0..TOUCH_SHARDS).map(|_| Mutex::default()).collect(),
         }
-    }
-
-    /// Number of stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
     }
 
     /// The stripe index `key` maps to.
@@ -73,9 +65,8 @@ impl StripedLockManager {
         (stripe_hash(key) % self.stripes.len() as u64) as usize
     }
 
-    fn touch_shard(&self, txn: TxnId) -> &Mutex<std::collections::HashMap<TxnId, HashSet<usize>>> {
-        let h = txn.origin.0 as u64 ^ txn.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.touched[(h % TOUCH_SHARDS as u64) as usize]
+    fn touch_shard(&self, txn: TxnId) -> &Mutex<IdMap<TxnId, IdSet<usize>>> {
+        &self.touched[shard_of(txn, TOUCH_SHARDS)]
     }
 
     /// Requests `key` in `mode` for `txn`. Same contract as

@@ -18,10 +18,10 @@
 //! data is copied out between acquisitions. No path can deadlock on
 //! SharedRm's own locks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use tpc_common::{Error, Lsn, Result, RmId, SimDuration, SimTime, TxnId};
+use tpc_common::{shard_of, Error, IdMap, Lsn, Result, RmId, SimDuration, SimTime, TxnId};
 use tpc_locks::{stripe_hash, Acquired, LockMode, LockStats, ReleaseGrant, StripedLockManager};
 use tpc_wal::{Durability, LogManager, LogRecord, StreamId};
 
@@ -85,8 +85,8 @@ pub struct SharedRm {
     /// Committed state, striped by the same key hash as the lock table.
     stores: Vec<Mutex<KvStore>>,
     locks: StripedLockManager,
-    txns: Vec<Mutex<HashMap<TxnId, TxnCtx>>>,
-    finished: Vec<Mutex<HashMap<TxnId, RmPhase>>>,
+    txns: Vec<Mutex<IdMap<TxnId, TxnCtx>>>,
+    finished: Vec<Mutex<IdMap<TxnId, RmPhase>>>,
 }
 
 impl SharedRm {
@@ -97,12 +97,8 @@ impl SharedRm {
             cfg,
             stores: (0..n).map(|_| Mutex::new(KvStore::new())).collect(),
             locks: StripedLockManager::new(n),
-            txns: (0..TXN_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            finished: (0..TXN_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            txns: (0..TXN_SHARDS).map(|_| Mutex::default()).collect(),
+            finished: (0..TXN_SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -121,18 +117,12 @@ impl SharedRm {
         &self.stores[(stripe_hash(key) % self.stores.len() as u64) as usize]
     }
 
-    #[inline]
-    fn txn_shard_idx(txn: TxnId) -> usize {
-        let h = txn.origin.0 as u64 ^ txn.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h % TXN_SHARDS as u64) as usize
+    fn ctx_shard(&self, txn: TxnId) -> &Mutex<IdMap<TxnId, TxnCtx>> {
+        &self.txns[shard_of(txn, TXN_SHARDS)]
     }
 
-    fn ctx_shard(&self, txn: TxnId) -> &Mutex<HashMap<TxnId, TxnCtx>> {
-        &self.txns[Self::txn_shard_idx(txn)]
-    }
-
-    fn finished_shard(&self, txn: TxnId) -> &Mutex<HashMap<TxnId, RmPhase>> {
-        &self.finished[Self::txn_shard_idx(txn)]
+    fn finished_shard(&self, txn: TxnId) -> &Mutex<IdMap<TxnId, RmPhase>> {
+        &self.finished[shard_of(txn, TXN_SHARDS)]
     }
 
     /// Committed value for `key` (the live runtime's `Read` app command).
@@ -484,7 +474,7 @@ impl SharedRm {
     ) -> Result<Vec<TxnId>> {
         self.crash();
         let mine = StreamId::Rm(self.cfg.id.0);
-        let mut pending: HashMap<TxnId, TxnCtx> = HashMap::new();
+        let mut pending: IdMap<TxnId, TxnCtx> = IdMap::default();
         for (_, stream, record) in durable {
             if *stream != mine {
                 continue;

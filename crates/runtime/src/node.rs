@@ -7,7 +7,7 @@
 //! transport, a wall-clock timer queue, the application reply channels —
 //! through the driver's host traits.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -16,8 +16,9 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use tpc_common::config::GroupCommitConfig;
 use tpc_common::wire::{Decode, Encode};
 use tpc_common::{
-    decode_ops, BufferPool, DamageReport, Error, HeuristicPolicy, NodeId, Op, OptimizationConfig,
-    Outcome, PoolStats, PooledBuf, ProtocolKind, Result, SimDuration, SimTime, TraceCtx, TxnId,
+    decode_ops, BufferPool, DamageReport, Error, HeuristicPolicy, IdMap, IdSet, NodeId, Op,
+    OptimizationConfig, Outcome, PoolStats, PooledBuf, ProtocolKind, Result, SimDuration, SimTime,
+    TraceCtx, TxnId,
 };
 use tpc_core::driver::rm_log_slot;
 use tpc_core::messages::{Bundle, Frame};
@@ -844,12 +845,12 @@ struct LiveHost<T: Transport> {
     /// transaction.
     lane_peers: Vec<Sender<Inbound>>,
     timers: TimerQueue,
-    pending_ops: HashMap<TxnId, VecDeque<Op>>,
-    deadlocked: HashSet<TxnId>,
+    pending_ops: IdMap<TxnId, VecDeque<Op>>,
+    deadlocked: IdSet<TxnId>,
     /// Prepare requests deferred until blocked local work completes
     /// (peer-to-peer rule: a participant may finish before it votes).
-    prepare_waiting: HashMap<TxnId, Durability>,
-    waiting: HashMap<TxnId, Sender<CommitResult>>,
+    prepare_waiting: IdMap<TxnId, Durability>,
+    waiting: IdMap<TxnId, Sender<CommitResult>>,
     suspendable: bool,
     reliable: bool,
     epoch: Instant,
@@ -861,7 +862,7 @@ struct LiveHost<T: Transport> {
     /// `sync_data` per force.
     group: Option<GroupCommitter<u64>>,
     /// Action-stream tails suspended behind a filling batch, by ticket.
-    suspended: HashMap<u64, Vec<Action>>,
+    suspended: IdMap<u64, Vec<Action>>,
     next_ticket: u64,
     /// Ticket of the append that just suspended (bridges the driver's
     /// `append_tm` → `suspend_rest` pair, which happen back to back on
@@ -1103,8 +1104,8 @@ impl<T: Transport> LiveHost<T> {
     /// the rest to the owning lanes' inbound channels. On a single-lane
     /// node every grant is local, exactly the old behavior.
     fn resume_grants(&mut self, grants: Vec<tpc_locks::ReleaseGrant>) {
-        let mut resumed: HashSet<TxnId> = HashSet::new();
-        let mut foreign: HashMap<usize, Vec<tpc_locks::ReleaseGrant>> = HashMap::new();
+        let mut resumed: IdSet<TxnId> = IdSet::default();
+        let mut foreign: IdMap<usize, Vec<tpc_locks::ReleaseGrant>> = IdMap::default();
         for g in grants {
             let lane = lane_of(g.txn, self.lanes);
             if lane != self.lane {
@@ -1426,15 +1427,14 @@ impl<T: Transport> AppSink for LiveHost<T> {
             },
             1,
         );
-        self.flight(
-            FlightKind::Decision,
-            Some(txn),
-            if pending {
+        if let Some(f) = self.obs.as_ref().and_then(|o| o.flight()) {
+            let detail = if pending {
                 format!("{name} (pending)")
             } else {
                 name.to_string()
-            },
-        );
+            };
+            f.record(FlightKind::Decision, self.now(), Some(txn), detail);
+        }
         if let Some(reply) = self.waiting.remove(&txn) {
             let _ = reply.send(CommitResult {
                 outcome,
@@ -1899,16 +1899,16 @@ impl<T: Transport> NodeWorker<T> {
             lane: parts.lane,
             lane_peers: parts.lane_peers,
             timers: TimerQueue::default(),
-            pending_ops: HashMap::new(),
-            deadlocked: HashSet::new(),
-            prepare_waiting: HashMap::new(),
-            waiting: HashMap::new(),
+            pending_ops: IdMap::default(),
+            deadlocked: IdSet::default(),
+            prepare_waiting: IdMap::default(),
+            waiting: IdMap::default(),
             suspendable: cfg.suspendable,
             reliable: cfg.reliable,
             epoch: parts.epoch,
             followups: VecDeque::new(),
             group: cfg.opts.group_commit.map(GroupCommitter::new),
-            suspended: HashMap::new(),
+            suspended: IdMap::default(),
             next_ticket: 0,
             suspending_ticket: None,
             resume_ready: VecDeque::new(),
@@ -2089,7 +2089,7 @@ impl<T: Transport> NodeWorker<T> {
             return false;
         }
         let mut mine = Vec::new();
-        let mut foreign: HashMap<usize, Vec<TxnId>> = HashMap::new();
+        let mut foreign: IdMap<usize, Vec<TxnId>> = IdMap::default();
         for v in victims {
             let lane = lane_of(v, self.host.lanes);
             if lane == self.host.lane {
@@ -2357,10 +2357,7 @@ impl<T: Transport> NodeWorker<T> {
             if let ProtocolMsg::Work { txn, payload } = &msg {
                 let txn = *txn;
                 let ops = decode_ops(payload).unwrap_or_default();
-                self.drive(Event::MsgReceived {
-                    from,
-                    msg: msg.clone(),
-                });
+                self.drive(Event::MsgReceived { from, msg });
                 self.host.run_ops(txn, ops.into());
                 self.pump();
                 self.maybe_self_prepare(txn);

@@ -98,7 +98,7 @@ impl ClusterSignal {
     }
 
     /// Runs `predicate` each time the cluster makes progress (and at
-    /// least every [`MAX_WAIT_SLICE`]) until it returns `Some`, or
+    /// least every 50 ms) until it returns `Some`, or
     /// `timeout` elapses. This is the shared backbone of
     /// `read_eventually` / `quiesce` / `await_death`.
     pub fn wait_for<R>(

@@ -10,10 +10,10 @@
 //! deadline that has just passed, and every idle wait degrades into a
 //! poll (measured: ≈ 45 % of throughput on every workload).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-use tpc_common::TxnId;
+use tpc_common::{IdMap, TxnId};
 use tpc_core::TimerKind;
 
 /// Armed timers ordered by deadline, indexed by `(txn, kind)` so a
@@ -23,7 +23,7 @@ pub(crate) struct TimerQueue {
     /// `(deadline, generation)` → timer. The driver's generation is
     /// unique per arming, so it breaks deadline ties.
     due: BTreeMap<(Instant, u64), (TxnId, TimerKind)>,
-    armed: HashMap<(TxnId, TimerKind), (Instant, u64)>,
+    armed: IdMap<(TxnId, TimerKind), (Instant, u64)>,
 }
 
 impl TimerQueue {

@@ -7,12 +7,12 @@
 //! against the virtual clock, and scripted workload driving — through
 //! the driver's host traits.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use tpc_common::{
-    HeuristicPolicy, NodeId, OptimizationConfig, ProtocolKind, SimDuration, SimTime, TraceCtx,
-    TxnId,
+    HeuristicPolicy, IdMap, IdSet, NodeId, OptimizationConfig, ProtocolKind, SimDuration, SimTime,
+    TraceCtx, TxnId,
 };
 use tpc_core::driver::{
     rm_log_slot, AppSink, Driver, LogControl, LogHost, PrepareControl, RmHost, TimerHost, Wire,
@@ -233,15 +233,15 @@ struct SimNodeState {
     log: MemLog,
     rms: Vec<RmSlot>,
     partners: Vec<NodeId>,
-    participation: HashMap<TxnId, Participation>,
-    deadlocked: HashSet<TxnId>,
-    pending_ops: HashMap<TxnId, VecDeque<Op>>,
+    participation: IdMap<TxnId, Participation>,
+    deadlocked: IdSet<TxnId>,
+    pending_ops: IdMap<TxnId, VecDeque<Op>>,
     /// Prepares deferred until blocked local work completes (the
     /// peer-to-peer "finish before you vote" rule).
-    prepare_waiting: HashMap<TxnId, Durability>,
+    prepare_waiting: IdMap<TxnId, Durability>,
     /// Action-stream tails suspended behind a filling group-commit batch,
     /// keyed by ticket.
-    suspended: HashMap<u64, Vec<Action>>,
+    suspended: IdMap<u64, Vec<Action>>,
     group: Option<GroupCommitter<u64>>,
     next_ticket: u64,
     /// Ticket of the append that just suspended (bridges the driver's
@@ -387,7 +387,7 @@ struct SimHost<'a> {
     sched: &'a mut Scheduler<Ev>,
     net: &'a mut Network,
     trace: &'a mut Vec<TraceEvent>,
-    txn_started: &'a HashMap<TxnId, SimTime>,
+    txn_started: &'a IdMap<TxnId, SimTime>,
     outcomes: &'a mut Vec<TxnResult>,
     pending_substantive: &'a mut i64,
     obs: Option<Arc<Obs>>,
@@ -418,7 +418,7 @@ impl SimHost<'_> {
 
     fn schedule_resumes(&mut self, grants: Vec<tpc_locks::ReleaseGrant>, at: SimTime) {
         let node = self.node;
-        let mut resumed: HashSet<TxnId> = HashSet::new();
+        let mut resumed: IdSet<TxnId> = IdSet::default();
         for g in grants {
             if resumed.insert(g.txn) {
                 self.schedule_sub(at, Ev::ResumeOps { node, txn: g.txn });
@@ -706,9 +706,9 @@ pub struct Sim {
     sched: Scheduler<Ev>,
     net: Network,
     script: VecDeque<TxnSpec>,
-    edges_from: HashMap<(TxnId, NodeId), Vec<WorkEdge>>,
-    txn_commit_flag: HashMap<TxnId, bool>,
-    txn_started: HashMap<TxnId, SimTime>,
+    edges_from: IdMap<(TxnId, NodeId), Vec<WorkEdge>>,
+    txn_commit_flag: IdMap<TxnId, bool>,
+    txn_started: IdMap<TxnId, SimTime>,
     next_seq: u64,
     outcomes: Vec<TxnResult>,
     trace: Vec<TraceEvent>,
@@ -725,9 +725,9 @@ impl Sim {
             sched: Scheduler::new(),
             net,
             script: VecDeque::new(),
-            edges_from: HashMap::new(),
-            txn_commit_flag: HashMap::new(),
-            txn_started: HashMap::new(),
+            edges_from: IdMap::default(),
+            txn_commit_flag: IdMap::default(),
+            txn_started: IdMap::default(),
             next_seq: 1,
             outcomes: Vec::new(),
             trace: Vec::new(),
@@ -784,11 +784,11 @@ impl Sim {
                 log: MemLog::new(),
                 rms,
                 partners: Vec::new(),
-                participation: HashMap::new(),
-                deadlocked: HashSet::new(),
-                pending_ops: HashMap::new(),
-                prepare_waiting: HashMap::new(),
-                suspended: HashMap::new(),
+                participation: IdMap::default(),
+                deadlocked: IdSet::default(),
+                pending_ops: IdMap::default(),
+                prepare_waiting: IdMap::default(),
+                suspended: IdMap::default(),
                 group,
                 next_ticket: 0,
                 suspending_ticket: None,
@@ -1336,7 +1336,7 @@ impl Sim {
         grants: Vec<tpc_locks::ReleaseGrant>,
         at: SimTime,
     ) {
-        let mut resumed: HashSet<TxnId> = HashSet::new();
+        let mut resumed: IdSet<TxnId> = IdSet::default();
         for g in grants {
             if resumed.insert(g.txn) {
                 self.schedule_sub(at, Ev::ResumeOps { node, txn: g.txn });

@@ -293,7 +293,7 @@ impl Cell {
 
     /// The closed-form expectation for the clean cell; `None` for crash
     /// cells (those assert the durable-floor rules instead — see
-    /// [`commit_floor`]).
+    /// [`Cell::commit_floor`]).
     pub fn expected(&self) -> Option<CellCosts> {
         if self.crash != CrashStep::None {
             return None;

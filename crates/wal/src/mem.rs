@@ -28,6 +28,8 @@ pub struct MemLog {
     next_lsn: u64,
     stats: LogStats,
     crashed: bool,
+    /// Reused buffer a record is encoded into to count its bytes.
+    scratch: Vec<u8>,
 }
 
 impl MemLog {
@@ -87,9 +89,10 @@ impl MemLog {
         }
         let lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
-        let encoded_len = record.encode_to_bytes().len() as u64;
+        self.scratch.clear();
+        record.encode_append(&mut self.scratch);
         self.stats.writes += 1;
-        self.stats.bytes += encoded_len;
+        self.stats.bytes += self.scratch.len() as u64;
         if durability.is_forced() {
             self.stats.forced_writes += 1;
         }

@@ -41,16 +41,19 @@
 //!   [`FaultyLog`](crate::faults::FaultyLog) image damage (torn writes,
 //!   bit flips) applies to the first live segment file unchanged.
 //!
-//! LSNs are the cumulative logical byte offset across the chain as
-//! scanned/written by this instance: monotone within a run, comparable
-//! across a recovery scan — the same contract the other backends give.
+//! An LSN is the segment's sequence number in its high 32 bits and the
+//! frame's byte offset inside that segment in its low 32 (capacity is
+//! capped below 4 GiB so the offset fits). Both are on disk — in the file
+//! name and the frame's position — so a reopen recomputes exactly the
+//! LSNs `append` returned, however many segments were reclaimed before
+//! it, and LSNs stay monotone across runs: the same contract the other
+//! backends give.
 
-use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use tpc_common::{Error, Lsn, Result, TxnId};
+use tpc_common::{Error, IdSet, Lsn, Result, TxnId};
 
 use crate::file::{encode_frame, try_frame, TailState, HEADER_LEN};
 use crate::log::{Durability, LogManager, LogStats, StreamId};
@@ -64,6 +67,19 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 /// Smallest allowed capacity — tests shrink segments to force rotation,
 /// but a segment must hold at least one frame of every record type.
 const MIN_SEGMENT_BYTES: u64 = 128;
+
+/// Largest allowed capacity: a frame's offset must fit the low 32 bits
+/// of its LSN.
+const MAX_SEGMENT_BYTES: u64 = u32::MAX as u64;
+
+/// Bits of an LSN below the segment sequence number.
+const SEQ_SHIFT: u32 = 32;
+
+/// The LSN of the frame at byte `off` of segment `seq`.
+#[inline]
+fn lsn_at(seq: u64, off: u64) -> Lsn {
+    Lsn((seq << SEQ_SHIFT) | off)
+}
 
 /// Chunk used for the preallocation zero-fill pass.
 const ZERO_CHUNK: usize = 64 * 1024;
@@ -83,11 +99,9 @@ pub struct SegmentStats {
 /// A sealed (rotated-out, fully durable) segment.
 #[derive(Debug)]
 struct SealedSegment {
-    path: PathBuf,
-    /// Logical LSN of this segment's first frame.
-    base: u64,
+    seq: u64,
     /// Transactions with at least one frame in this segment.
-    txns: HashSet<TxnId>,
+    txns: IdSet<TxnId>,
 }
 
 /// Segmented, preallocated log directory. See the module docs for the
@@ -101,14 +115,12 @@ pub struct SegmentedLog {
     sealed: Vec<SealedSegment>,
     writer: BufWriter<File>,
     active_seq: u64,
-    /// Logical LSN of the active segment's first frame.
-    active_base: u64,
     /// Physical offset of the next frame within the active segment.
     active_off: u64,
     /// Transactions with a frame in the active segment.
-    active_txns: HashSet<TxnId>,
+    active_txns: IdSet<TxnId>,
     /// Transactions whose TM `End` record has been appended.
-    ended: HashSet<TxnId>,
+    ended: IdSet<TxnId>,
     stats: LogStats,
     seg_stats: SegmentStats,
     recovered_tail: TailState,
@@ -135,8 +147,9 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// Path of segment `seq` inside `dir` — exposed so fault injection and
-/// the node runtime can point [`FaultyLog::with_path`]
-/// (crate::faults::FaultyLog::with_path) at the first live image file.
+/// the node runtime can point
+/// [`FaultyLog::with_path`](crate::faults::FaultyLog::with_path) at the
+/// first live image file.
 pub fn segment_path(dir: impl AsRef<Path>, seq: u64) -> PathBuf {
     dir.as_ref().join(segment_name(seq))
 }
@@ -236,7 +249,6 @@ pub fn scan_chain(dir: impl AsRef<Path>) -> Result<Vec<(Lsn, StreamId, LogRecord
     }
     let segments = list_segments(dir)?;
     let mut out = Vec::new();
-    let mut base = 0u64;
     let mut expected = segments.first().map(|(seq, _)| *seq);
     for (seq, path) in &segments {
         if Some(*seq) != expected {
@@ -246,9 +258,8 @@ pub fn scan_chain(dir: impl AsRef<Path>) -> Result<Vec<(Lsn, StreamId, LogRecord
         let raw = fs::read(path)?;
         let scan = scan_segment_bytes(&raw);
         for (off, stream, rec) in scan.records {
-            out.push((Lsn(base + off), stream, rec));
+            out.push((lsn_at(*seq, off), stream, rec));
         }
-        base += scan.stop;
         if !scan.clean {
             break;
         }
@@ -274,7 +285,7 @@ impl SegmentedLog {
         for (_, path) in list_segments(&dir)? {
             fs::remove_file(path)?;
         }
-        let segment_bytes = segment_bytes.max(MIN_SEGMENT_BYTES);
+        let segment_bytes = segment_bytes.clamp(MIN_SEGMENT_BYTES, MAX_SEGMENT_BYTES);
         let writer = BufWriter::new(preallocate(&segment_path(&dir, 0), segment_bytes)?);
         Ok(SegmentedLog {
             dir,
@@ -283,10 +294,9 @@ impl SegmentedLog {
             sealed: Vec::new(),
             writer,
             active_seq: 0,
-            active_base: 0,
             active_off: 0,
-            active_txns: HashSet::new(),
-            ended: HashSet::new(),
+            active_txns: IdSet::default(),
+            ended: IdSet::default(),
             stats: LogStats::default(),
             seg_stats: SegmentStats {
                 segments_created: 1,
@@ -312,7 +322,7 @@ impl SegmentedLog {
     pub fn open_with(dir: impl AsRef<Path>, segment_bytes: u64, retain: bool) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let segment_bytes = segment_bytes.max(MIN_SEGMENT_BYTES);
+        let segment_bytes = segment_bytes.clamp(MIN_SEGMENT_BYTES, MAX_SEGMENT_BYTES);
         let mut segments = list_segments(&dir)?;
         if segments.is_empty() {
             return Self::create_with(&dir, segment_bytes, retain);
@@ -331,17 +341,16 @@ impl SegmentedLog {
         }
 
         let mut sealed = Vec::new();
-        let mut ended = HashSet::new();
-        let mut base = 0u64;
+        let mut ended = IdSet::default();
         let mut tail = TailState::Clean;
         // (seq, stop, txns) of the segment that becomes active again.
-        let mut active: Option<(u64, u64, HashSet<TxnId>)> = None;
+        let mut active: Option<(u64, u64, IdSet<TxnId>)> = None;
 
         for (i, (seq, path)) in segments.iter().enumerate() {
             let raw = fs::read(path)?;
             let scan = scan_segment_bytes(&raw);
             let last = i + 1 == segments.len();
-            let mut txns = HashSet::new();
+            let mut txns = IdSet::default();
             for (_, _, rec) in scan.records {
                 txns.insert(rec.txn());
                 if is_end_marker(&rec) {
@@ -352,12 +361,7 @@ impl SegmentedLog {
                 if last {
                     active = Some((*seq, scan.stop, txns));
                 } else {
-                    sealed.push(SealedSegment {
-                        path: path.clone(),
-                        base,
-                        txns,
-                    });
-                    base += scan.stop;
+                    sealed.push(SealedSegment { seq: *seq, txns });
                 }
                 continue;
             }
@@ -413,7 +417,6 @@ impl SegmentedLog {
             sealed,
             writer: BufWriter::new(file),
             active_seq,
-            active_base: base,
             active_off,
             active_txns,
             ended,
@@ -440,10 +443,8 @@ impl SegmentedLog {
     /// Path of the oldest live segment — where crash-time image faults
     /// (torn write, bit flip) land.
     pub fn first_segment_path(&self) -> PathBuf {
-        self.sealed
-            .first()
-            .map(|s| s.path.clone())
-            .unwrap_or_else(|| segment_path(&self.dir, self.active_seq))
+        let seq = self.sealed.first().map_or(self.active_seq, |s| s.seq);
+        segment_path(&self.dir, seq)
     }
 
     /// Segment-level counters (rotations, reclamations, preallocations).
@@ -468,7 +469,7 @@ impl SegmentedLog {
                 break;
             }
             let seg = self.sealed.remove(0);
-            let _ = fs::remove_file(&seg.path);
+            let _ = fs::remove_file(segment_path(&self.dir, seg.seq));
             // Drop `ended` markers no longer pinned by any live segment.
             for t in seg.txns {
                 let live = self.active_txns.contains(&t)
@@ -490,11 +491,9 @@ impl SegmentedLog {
         self.writer.get_ref().sync_data()?;
         self.stats.physical_flushes += 1;
         self.sealed.push(SealedSegment {
-            path: segment_path(&self.dir, self.active_seq),
-            base: self.active_base,
+            seq: self.active_seq,
             txns: std::mem::take(&mut self.active_txns),
         });
-        self.active_base += self.active_off;
         self.active_seq += 1;
         self.active_off = 0;
         self.writer = BufWriter::new(preallocate(
@@ -549,7 +548,7 @@ impl SegmentedLog {
         if self.active_off + flen > self.segment_bytes {
             self.rotate()?;
         }
-        let lsn = Lsn(self.active_base + self.active_off);
+        let lsn = lsn_at(self.active_seq, self.active_off);
         self.writer.write_all(frame)?;
         self.active_off += flen;
         Ok(lsn)
@@ -610,27 +609,24 @@ impl LogManager for SegmentedLog {
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {
         // Disk truth over the whole chain, mirroring the open() walk:
         // sealed segments then the active one, stopping at the first
-        // damage. Errors degrade to "nothing further durable". LSNs start
-        // at the oldest retained segment, matching what `append` returned.
+        // damage. Errors degrade to "nothing further durable".
         let mut out = Vec::new();
-        let mut base = self.sealed.first().map_or(self.active_base, |s| s.base);
         let chain = self
             .sealed
             .iter()
-            .map(|s| s.path.clone())
-            .chain(std::iter::once(segment_path(&self.dir, self.active_seq)));
-        for path in chain {
-            let Ok(raw) = fs::read(&path) else {
+            .map(|s| s.seq)
+            .chain(std::iter::once(self.active_seq));
+        for seq in chain {
+            let Ok(raw) = fs::read(segment_path(&self.dir, seq)) else {
                 break;
             };
             let scan = scan_segment_bytes(&raw);
             for (off, stream, rec) in scan.records {
-                out.push((Lsn(base + off), stream, rec));
+                out.push((lsn_at(seq, off), stream, rec));
             }
             if !scan.clean {
                 break;
             }
-            base += scan.stop;
         }
         out
     }
@@ -1046,6 +1042,34 @@ mod tests {
         assert!(durable[0].0 > Lsn(0), "the chain's head was reclaimed");
         // The durable view is a suffix of what was appended, LSNs included.
         assert_eq!(durable[..], appended[appended.len() - durable.len()..]);
+        rm(&dir);
+    }
+
+    #[test]
+    fn lsns_stay_monotone_across_reopen_after_reclaim() {
+        let dir = tmp("lsn-reopen-reclaim");
+        let last = {
+            let mut log = SegmentedLog::create_with(&dir, 256, true).unwrap();
+            let mut last = Lsn(0);
+            for i in 0..40 {
+                for rec in [committed(i), end(i)] {
+                    last = log.append(StreamId::Tm, rec, Durability::Forced).unwrap();
+                }
+            }
+            assert!(log.segment_stats().segments_reclaimed > 0);
+            last
+        };
+        let mut log = SegmentedLog::open_with(&dir, 256, true).unwrap();
+        let recovered = log.durable_records();
+        assert_eq!(
+            recovered.last().map(|r| r.0),
+            Some(last),
+            "reopen recomputes the LSNs"
+        );
+        let next = log
+            .append(StreamId::Tm, committed(40), Durability::Forced)
+            .unwrap();
+        assert!(next > last, "{next:?} after {last:?}: LSNs went backwards");
         rm(&dir);
     }
 

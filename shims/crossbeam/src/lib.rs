@@ -221,8 +221,10 @@ pub mod channel {
 
         /// Blocks up to `timeout` for a value.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
             let mut inner = self.shared.inner.lock().unwrap();
+            // The clock is read only once the queue is found empty: a
+            // value already waiting costs no clock read.
+            let mut deadline = None;
             loop {
                 if let Some(v) = inner.queue.pop_front() {
                     return Ok(v);
@@ -231,6 +233,7 @@ pub mod channel {
                     return Err(RecvTimeoutError::Disconnected);
                 }
                 let now = Instant::now();
+                let deadline = *deadline.get_or_insert(now + timeout);
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }

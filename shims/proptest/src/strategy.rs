@@ -182,7 +182,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Acceptable size arguments for [`vec`].
+    /// Acceptable size arguments for [`vec()`].
     pub trait IntoSizeRange {
         /// Inclusive `(lo, hi)` bounds.
         fn bounds(self) -> (usize, usize);
@@ -207,7 +207,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for vectors of `element` values; see [`vec`].
+    /// Strategy for vectors of `element` values; see [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         lo: usize,
