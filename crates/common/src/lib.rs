@@ -19,6 +19,7 @@ pub mod ids;
 pub mod ops;
 pub mod outcome;
 pub mod pool;
+pub mod temp;
 pub mod time;
 pub mod trace;
 pub mod vote;
@@ -31,6 +32,7 @@ pub use ids::{Lsn, NodeId, RmId, TxnId};
 pub use ops::{decode_ops, encode_ops, Op};
 pub use outcome::{DamageReport, HeuristicOutcome, Outcome};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
+pub use temp::TempDir;
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceCtx;
 pub use vote::{Vote, VoteFlags};

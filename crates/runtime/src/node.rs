@@ -33,10 +33,9 @@ use tpc_obs::{
     TimelineGauge, TimelineSnapshot, FLIGHT_CAP,
 };
 use tpc_rm::{Access, SharedRm};
-use tpc_wal::file::{FileLog, TailState};
 use tpc_wal::{
     Durability, FaultyLog, FlushDecision, GroupCommitter, GroupStats, LogManager, LogRecord,
-    LogStats, MemLog, SegmentedLog, StorageFaultPlan, StreamId, DEFAULT_SEGMENT_BYTES,
+    LogStats, MemLog, SegmentedLog, StorageFaultPlan, StreamId, TailState,
 };
 
 use crate::signal::ClusterSignal;
@@ -48,14 +47,19 @@ pub enum LogBackend {
     /// In-memory (fast; the default for examples and tests).
     #[default]
     Memory,
-    /// A real file under the given directory, with fsync on every forced
-    /// write. The file is named `node-<id>.log`.
+    /// The segmented WAL under the given directory, exactly as
+    /// [`Segmented`](Self::Segmented) builds it. The two differ only in
+    /// that [`LiveNodeConfig::with_segmented_log`] also raises
+    /// `shared_log`; this name stays because the benchmark adapter
+    /// matches on it.
     File(std::path::PathBuf),
-    /// A segmented, preallocated WAL under the given directory: the TM
-    /// chain lives in `node-<id>-wal/`, the RM chain in
+    /// A segmented, preallocated WAL under the given directory, with
+    /// fsync on every forced write: the TM chain lives in
+    /// `node-<id>-wal/`, the RM chain (when the log is not shared) in
     /// `node-<id>-rm-wal/`. Steady-state appends never extend a file, so
-    /// each `fdatasync` skips the metadata flush `File` pays, and sealed
-    /// segments whose transactions have all ended are reclaimed.
+    /// each `fdatasync` skips the metadata flush, and sealed segments
+    /// whose transactions have all ended are reclaimed unless the chain
+    /// carries RM redo.
     Segmented(std::path::PathBuf),
 }
 
@@ -568,17 +572,16 @@ impl LiveNodeConfig {
         self
     }
 
-    /// Stores the TM log in a real file under `dir` (fsync on force).
+    /// Stores the node's logs as segmented WALs under `dir` (fsync on
+    /// force): a TM chain, plus an RM chain unless `shared_log` is on.
     pub fn with_file_log(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.log_backend = LogBackend::File(dir.into());
         self
     }
 
     /// Stores the node's log as a segmented, preallocated WAL under
-    /// `dir` — same durability guarantee as
-    /// [`with_file_log`](Self::with_file_log), but forces pay
-    /// `fdatasync` without metadata updates and old segments are
-    /// reclaimed once their transactions end.
+    /// `dir` — the same chain as [`with_file_log`](Self::with_file_log)
+    /// builds, with `shared_log` raised.
     ///
     /// The segmented backend is one multiplexed chain per node: the
     /// frame format carries a stream id, so the RM stream shares the TM
@@ -1544,20 +1547,8 @@ const LIVE_TIMELINE_WINDOW_US: u64 = 250_000;
 /// Ring length of the live timeline.
 const LIVE_TIMELINE_WINDOWS: usize = 64;
 
-pub(crate) fn tm_log_path(dir: &std::path::Path, node: NodeId) -> std::path::PathBuf {
-    dir.join(format!("node-{}.log", node.0))
-}
-
-pub(crate) fn rm_log_path(dir: &std::path::Path, node: NodeId) -> std::path::PathBuf {
-    dir.join(format!("node-{}.rm.log", node.0))
-}
-
 pub(crate) fn tm_seg_dir(dir: &std::path::Path, node: NodeId) -> std::path::PathBuf {
     dir.join(format!("node-{}-wal", node.0))
-}
-
-pub(crate) fn rm_seg_dir(dir: &std::path::Path, node: NodeId) -> std::path::PathBuf {
-    dir.join(format!("node-{}-rm-wal", node.0))
 }
 
 /// Which of a node's two log streams a backend helper is building.
@@ -1578,11 +1569,12 @@ impl LogRole {
         }
     }
 
-    /// Segment retention only helps the TM stream: `End` records are
-    /// TM-only, so an RM chain never observes a fully-ended segment and
-    /// reclamation there would just burn scans.
-    fn retain(self) -> bool {
-        self == LogRole::Tm
+    /// Where this stream's segment chain lives under `dir`.
+    fn seg_dir(self, dir: &std::path::Path, node: NodeId) -> std::path::PathBuf {
+        match self {
+            LogRole::Tm => tm_seg_dir(dir, node),
+            LogRole::Rm => dir.join(format!("node-{}-rm-wal", node.0)),
+        }
     }
 }
 
@@ -1601,28 +1593,11 @@ pub(crate) fn create_log(
             None,
             role.salt(),
         ),
-        LogBackend::File(dir) => {
-            std::fs::create_dir_all(dir).expect("log directory");
-            let path = match role {
-                LogRole::Tm => tm_log_path(dir, node),
-                LogRole::Rm => rm_log_path(dir, node),
-            };
-            wrap_storage_faults(
-                Box::new(FileLog::create(&path).expect("create log file")),
-                cfg.storage_faults.as_ref(),
-                Some(path),
-                role.salt(),
-            )
-        }
-        LogBackend::Segmented(dir) => {
-            let seg_dir = match role {
-                LogRole::Tm => tm_seg_dir(dir, node),
-                LogRole::Rm => rm_seg_dir(dir, node),
-            };
-            let log = SegmentedLog::create_with(&seg_dir, DEFAULT_SEGMENT_BYTES, role.retain())
-                .expect("create segmented log");
+        LogBackend::File(dir) | LogBackend::Segmented(dir) => {
+            let log = SegmentedLog::create(role.seg_dir(dir, node)).expect("create segmented log");
             // Crash-image faults (torn write, bit flip) land on the
-            // active tail's segment file.
+            // chain's first segment, `wal-0000.seg`, as it was at
+            // creation; a rotation moves the tail past it.
             let path = log.first_segment_path();
             wrap_storage_faults(
                 Box::new(log),
@@ -1646,21 +1621,8 @@ pub(crate) fn reopen_log(
         LogBackend::Memory => Err(Error::Config(
             "restart requires a durable log backend (a memory log dies with the node)".into(),
         )),
-        LogBackend::File(dir) => {
-            let path = match role {
-                LogRole::Tm => tm_log_path(dir, node),
-                LogRole::Rm => rm_log_path(dir, node),
-            };
-            let log = FileLog::open(path)?;
-            let tail = log.recovered_tail();
-            Ok((Box::new(log), tail))
-        }
-        LogBackend::Segmented(dir) => {
-            let seg_dir = match role {
-                LogRole::Tm => tm_seg_dir(dir, node),
-                LogRole::Rm => rm_seg_dir(dir, node),
-            };
-            let log = SegmentedLog::open_with(&seg_dir, DEFAULT_SEGMENT_BYTES, role.retain())?;
+        LogBackend::File(dir) | LogBackend::Segmented(dir) => {
+            let log = SegmentedLog::open(role.seg_dir(dir, node))?;
             let tail = log.recovered_tail();
             Ok((Box::new(log), tail))
         }

@@ -890,7 +890,7 @@ mod tests {
     use super::*;
     use crate::{AppCmd, NodeSummary};
     use proptest::prelude::*;
-    use tpc_common::{Error, Op, Outcome, ProtocolKind};
+    use tpc_common::{Error, Op, Outcome, ProtocolKind, TempDir};
 
     #[test]
     fn commit_over_real_sockets() {
@@ -982,9 +982,8 @@ mod tests {
 
     #[test]
     fn frame_sent_to_a_down_node_is_not_delivered_to_its_next_incarnation() {
-        let dir = std::env::temp_dir().join(format!("tpc-tcp-down-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = || LiveNodeConfig::new(ProtocolKind::PresumedAbort).with_file_log(&dir);
+        let dir = TempDir::new("tcp-down");
+        let cfg = || LiveNodeConfig::new(ProtocolKind::PresumedAbort).with_file_log(dir.path());
         let mut c = TcpCluster::start(vec![cfg(), cfg()]).expect("bind loopback");
         let (root, sub) = (NodeId(0), NodeId(1));
         // Warm the root → sub connection, so it is adopted by sub's hub
@@ -1013,7 +1012,6 @@ mod tests {
         assert_eq!(c.read(sub, "ghost"), None);
         assert_eq!(c.read(sub, "warm"), Some(b"1".to_vec()));
         c.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1024,15 +1022,14 @@ mod tests {
         // by polling, the second by blocking waits.
         const WAVES: usize = 2;
         const IN_FLIGHT: usize = 16;
-        let dir = std::env::temp_dir().join(format!("tpc-tcp-waves-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("tcp-waves");
         let gc = tpc_common::config::GroupCommitConfig {
             batch_size: 8,
             max_wait: tpc_common::SimDuration::from_millis(1),
             adaptive: false,
         };
         let cfg = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_segmented_log(&dir)
+            .with_segmented_log(dir.path())
             .with_group_commit(Some(gc));
         let c = TcpCluster::start(vec![cfg; 3]).expect("bind loopback");
         let mut outcomes = Vec::new();
@@ -1074,7 +1071,6 @@ mod tests {
         let (violations, unresolved) = crate::verify::check(&summaries, &outcomes);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(unresolved.is_empty(), "{unresolved:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

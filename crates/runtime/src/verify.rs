@@ -8,7 +8,7 @@
 //!    uses — atomicity, quiescence and damage-report fidelity are
 //!    asserted identically in both harnesses.
 //! 2. [`check_wal_agreement`] ignores in-memory state entirely and
-//!    re-reads every node's WAL file from disk, the way a recovering
+//!    re-reads every node's WAL chain from disk, the way a recovering
 //!    process would: the durable (non-heuristic) decisions recorded for
 //!    one transaction must agree across the cluster.
 
@@ -19,7 +19,7 @@ use tpc_common::{NodeId, Outcome, Result, TxnId};
 use tpc_core::check::{NodeProtocolState, OutcomeRecord};
 use tpc_core::recovery::summarize;
 
-use crate::node::{tm_log_path, tm_seg_dir, CommitResult, NodeSummary};
+use crate::node::{tm_seg_dir, CommitResult, NodeSummary};
 
 /// Runs the shared protocol-invariant checker over live node summaries.
 /// Returns `(violations, unresolved)` exactly as the simulator's
@@ -78,25 +78,21 @@ pub fn outcome_record(txn: TxnId, root: NodeId, result: &CommitResult) -> Outcom
     }
 }
 
-/// Scans every node's TM WAL under `dir` (durable backends only — plain
-/// file or segmented chain, detected per node) and cross-checks the
-/// durable decisions: a transaction must not have one node with a
-/// durable commit and another with a durable non-heuristic abort.
+/// Scans every node's TM segment chain under `dir` (durable backends
+/// only) and cross-checks the durable decisions: a transaction must not
+/// have one node with a durable commit and another with a durable
+/// non-heuristic abort.
 /// Returns the violations found; nodes with no durable log on disk are
 /// skipped (never started, or memory-backed).
 pub fn check_wal_agreement(dir: &Path, nodes: usize) -> Result<Vec<String>> {
     let mut decisions: BTreeMap<TxnId, Vec<(NodeId, Outcome)>> = BTreeMap::new();
     for i in 0..nodes {
         let node = NodeId(i as u32);
-        let path = tm_log_path(dir, node);
         let seg_dir = tm_seg_dir(dir, node);
-        let records = if path.exists() {
-            tpc_wal::file::scan(&path)?
-        } else if seg_dir.exists() {
-            tpc_wal::segment::scan_chain(&seg_dir)?
-        } else {
+        if !seg_dir.exists() {
             continue;
-        };
+        }
+        let records = tpc_wal::segment::scan_chain(&seg_dir)?;
         for (txn, summary) in summarize(&records) {
             if summary.heuristic.is_some() {
                 // A heuristic decision is damage, not a protocol bug; it

@@ -4,10 +4,9 @@
 //! is ever lost, duplicated, or sent eagerly when later traffic could
 //! have carried it.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use tpc_common::{NodeId, Op, OptimizationConfig, Outcome, ProtocolKind, SimDuration};
+use tpc_common::{NodeId, Op, OptimizationConfig, Outcome, ProtocolKind, SimDuration, TempDir};
 use tpc_core::Timeouts;
 use tpc_runtime::{verify, LiveCluster, LiveNodeConfig};
 
@@ -23,10 +22,8 @@ fn fast_timeouts() -> Timeouts {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tpc-ackpig-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("ackpig-{tag}"))
 }
 
 /// A subordinate killed right after applying the commit decision dies
@@ -42,11 +39,11 @@ fn wal_replay_rearms_the_deferred_ack() {
     let victim = NodeId(1);
     let mut c = LiveCluster::start(vec![
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_opts(long_locks())
             .with_timeouts(fast_timeouts()),
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_opts(long_locks())
             // A long linger: the re-armed ack must wait for a ride, not
             // bail out as its own frame the moment the lane goes idle.
@@ -105,7 +102,6 @@ fn wal_replay_rearms_the_deferred_ack() {
     assert!(unresolved.is_empty(), "{unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
     assert!(wal.is_empty(), "{wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// On a multi-lane node the engine's per-lane owed queues can't help

@@ -21,10 +21,11 @@
 //! ([`tpc_runtime::verify::check`], the same module the simulator's
 //! verifier uses) plus an on-disk WAL cross-scan.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use tpc_common::{AckMode, NodeId, Op, OptimizationConfig, Outcome, ProtocolKind, SimDuration};
+use tpc_common::{
+    AckMode, NodeId, Op, OptimizationConfig, Outcome, ProtocolKind, SimDuration, TempDir,
+};
 use tpc_core::Timeouts;
 use tpc_runtime::tcp::TcpCluster;
 use tpc_runtime::{verify, Cluster, LiveCluster, LiveNodeConfig, Net, StorageFaultPlan};
@@ -38,10 +39,8 @@ fn chaos_timeouts() -> Timeouts {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tpc-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("chaos-{tag}"))
 }
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -107,7 +106,7 @@ fn subordinate_case(
     let root = NodeId(0);
     let victim = NodeId(1);
     let mut victim_cfg = LiveNodeConfig::new(protocol)
-        .with_file_log(&dir)
+        .with_file_log(dir.path())
         .with_lanes(lanes)
         .with_timeouts(chaos_timeouts())
         .kill_after_frames(k);
@@ -116,7 +115,7 @@ fn subordinate_case(
     }
     let mut c = LiveCluster::start(vec![
         LiveNodeConfig::new(protocol)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_lanes(lanes)
             .with_timeouts(chaos_timeouts()),
         victim_cfg,
@@ -172,7 +171,6 @@ fn subordinate_case(
 
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
     assert!(wal.is_empty(), "{ctx}: {wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The §4 optimizations that change *who recovers what*: a delegated
@@ -222,13 +220,13 @@ fn optimization_case(opt: OptCell, k: u32, lanes: usize) {
     let victim = NodeId(1);
     let mut c = LiveCluster::start(vec![
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_lanes(lanes)
             .with_opts(opt.opts())
             .with_timeouts(chaos_timeouts()),
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
             .with_observability()
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_lanes(lanes)
             .with_opts(opt.opts())
             .with_timeouts(chaos_timeouts())
@@ -306,7 +304,6 @@ fn optimization_case(opt: OptCell, k: u32, lanes: usize) {
     assert!(unresolved.is_empty(), "{ctx}: {unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
     assert!(wal.is_empty(), "{ctx}: {wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -341,7 +338,7 @@ fn in_doubt_case<N: Net>(
     let cfg = || {
         LiveNodeConfig::new(protocol)
             .with_observability()
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_lanes(lanes)
             .with_timeouts(chaos_timeouts())
     };
@@ -361,7 +358,6 @@ fn in_doubt_case<N: Net>(
     assert!(c.quiesce(reply_timeout), "{ctx}: must quiesce");
     let s = c.summary(victim).expect("victim summary");
     c.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(outcome, Outcome::Commit, "{ctx}");
     let obs = s.obs.expect("observability was on");
@@ -396,11 +392,11 @@ fn root_crash_after_deciding_recovers_and_completes_phase_two() {
         let sub = NodeId(1);
         let mut c = LiveCluster::start(vec![
             LiveNodeConfig::new(protocol)
-                .with_file_log(&dir)
+                .with_file_log(dir.path())
                 .with_timeouts(chaos_timeouts())
                 .kill_after_frames(1),
             LiveNodeConfig::new(protocol)
-                .with_file_log(&dir)
+                .with_file_log(dir.path())
                 .with_timeouts(chaos_timeouts()),
         ])
         .with_reply_timeout(Duration::from_secs(20));
@@ -445,7 +441,6 @@ fn root_crash_after_deciding_recovers_and_completes_phase_two() {
         assert!(unresolved.is_empty(), "{ctx}: {unresolved:?}");
         let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
         assert!(wal.is_empty(), "{ctx}: {wal:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -473,10 +468,10 @@ fn tcp_kill_case(k: u32, expected: Outcome) {
     let victim = NodeId(1);
     let mut c = TcpCluster::start(vec![
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_timeouts(chaos_timeouts()),
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_timeouts(chaos_timeouts())
             .kill_after_frames(k),
     ])
@@ -516,7 +511,6 @@ fn tcp_kill_case(k: u32, expected: Outcome) {
     assert!(unresolved.is_empty(), "{ctx}: {unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
     assert!(wal.is_empty(), "{ctx}: {wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

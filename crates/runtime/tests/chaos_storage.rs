@@ -10,9 +10,10 @@
 
 use std::time::Duration;
 
-use tpc_common::{NodeId, Op, Outcome, ProtocolKind, SimDuration};
+use tpc_common::{NodeId, Op, Outcome, ProtocolKind, SimDuration, TempDir};
 use tpc_core::Timeouts;
 use tpc_runtime::{verify, IoErrorPolicy, LiveCluster, LiveNodeConfig, StorageFaultPlan};
+use tpc_wal::segment::scan_chain;
 
 fn chaos_timeouts() -> Timeouts {
     Timeouts {
@@ -22,10 +23,8 @@ fn chaos_timeouts() -> Timeouts {
     }
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tpc-storage-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("storage-{tag}"))
 }
 
 fn healthy(dir: &std::path::Path) -> LiveNodeConfig {
@@ -78,7 +77,6 @@ fn transient_fsync_failures_are_absorbed_by_retries() {
     assert!(unresolved.is_empty(), "{unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
     assert!(wal.is_empty(), "{wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -160,7 +158,6 @@ fn permanent_fsync_failure_degrades_to_read_only_with_counted_rejections() {
     drop(server);
 
     c.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -207,7 +204,6 @@ fn permanent_fsync_failure_fail_stops_and_a_replacement_disk_recovers() {
     let (violations, unresolved) = verify::check(&summaries, &outcomes);
     assert!(violations.is_empty(), "{violations:?}");
     assert!(unresolved.is_empty(), "{unresolved:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -259,12 +255,26 @@ fn enospc_degrades_after_the_space_budget_and_keeps_the_durable_prefix() {
     c.shutdown();
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
     assert!(wal.is_empty(), "{wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Kill the subordinate in-doubt (k = 2), damage its WAL image on disk
-/// while it is down, restart it, and return (commit result, recovery
-/// stats rollup) plus the cluster so callers can keep asserting.
+/// Byte offset in segment file `seg` just past its last valid frame:
+/// where the recovery scan stops, and where the next append would land.
+/// The segment is preallocated, so this is not its end of file.
+fn scan_stop(seg: &std::path::Path) -> usize {
+    let chain = scan_chain(seg.parent().expect("segment in a chain dir")).expect("scan chain");
+    let raw = std::fs::read(seg).expect("read segment");
+    chain.last().map_or(0, |(lsn, _, _)| {
+        // Frame: u32 payload len, u32 crc, u8 stream, payload.
+        let off = (lsn.0 & u64::from(u32::MAX)) as usize;
+        let len = u32::from_le_bytes(raw[off..off + 4].try_into().unwrap()) as usize;
+        off + 9 + len
+    })
+}
+
+/// Kill the subordinate in-doubt (k = 2), damage its TM chain's first
+/// segment on disk while it is down, restart it, and return (commit
+/// result, recovery stats rollup) plus the cluster so callers can keep
+/// asserting.
 fn crash_damage_restart(
     tag: &str,
     lanes: usize,
@@ -273,7 +283,7 @@ fn crash_damage_restart(
     let dir = temp_dir(tag);
     let cfg = |kill: bool| {
         let c = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_lanes(lanes)
             .with_timeouts(chaos_timeouts());
         if kill {
@@ -291,7 +301,7 @@ fn crash_damage_restart(
     c.await_death(NodeId(1), Duration::from_secs(10))
         .expect("victim dies in doubt");
 
-    damage(&dir.join("node-1.log"));
+    damage(&dir.join("node-1-wal").join("wal-0000.seg"));
 
     c.restart(NodeId(1))
         .expect("restart over the damaged image");
@@ -303,25 +313,22 @@ fn crash_damage_restart(
         .recovery
         .expect("restart recorded recovery stats");
     c.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
     (rec, result.outcome)
 }
 
 #[test]
 fn a_torn_tail_is_classified_and_reported_at_restart() {
-    // An append interrupted by the crash leaves a partial frame at the
-    // end of the WAL. Recovery must classify it as a clean torn tail
-    // (expected damage), truncate it, and replay the durable prefix —
+    // An append interrupted by the crash leaves a partial frame after
+    // the last durable one. Recovery must classify it as a clean torn
+    // tail (expected damage), zero it, and replay the durable prefix —
     // on a single-lane node and on a sharded one.
     for lanes in [1usize, 4] {
-        let (rec, outcome) = crash_damage_restart(&format!("torn-{lanes}"), lanes, |wal| {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(wal)
-                .expect("open victim WAL");
+        let (rec, outcome) = crash_damage_restart(&format!("torn-{lanes}"), lanes, |seg| {
+            let mut raw = std::fs::read(seg).expect("read victim segment");
+            let stop = scan_stop(seg);
             // Half a frame header: a length field and nothing else.
-            f.write_all(&[0xFF, 0x00, 0x00, 0x00, 0xAB]).expect("tear");
+            raw[stop..stop + 5].copy_from_slice(&[0xFF, 0x00, 0x00, 0x00, 0xAB]);
+            std::fs::write(seg, &raw).expect("tear");
         });
         assert_eq!(
             outcome,
@@ -342,17 +349,17 @@ fn corruption_before_the_tail_is_distinguished_from_a_torn_tail() {
     // bit in the first one; the scanner stops at the damage but finds
     // the chained survivor, so the restart reports corruption-before-
     // tail instead of a clean torn tail.
-    let (rec, outcome) = crash_damage_restart("bitrot", 1, |wal| {
-        use tpc_wal::file::FileLog;
-        use tpc_wal::{Durability, LogManager, LogRecord, StreamId};
-        let intact = std::fs::metadata(wal).expect("victim WAL exists").len();
+    let (rec, outcome) = crash_damage_restart("bitrot", 1, |seg| {
+        use tpc_wal::{Durability, LogManager, LogRecord, SegmentedLog, StreamId};
+        let intact = scan_stop(seg);
         assert!(intact > 0, "victim forced a Prepared record");
-        // Append two well-formed frames with the WAL's own writer, then
-        // rot a CRC byte in the first of them: the real Prepared record
-        // stays replayable, the rotted frame stops the scan, and the
-        // last frame is the provable survivor.
+        // Append two well-formed frames with the WAL's own writer, at the
+        // scan stop, then rot a CRC byte in the first of them: the real
+        // Prepared record stays replayable, the rotted frame stops the
+        // scan, and the last frame is the provable survivor.
         {
-            let mut log = FileLog::open(wal).expect("reopen victim WAL");
+            let chain = seg.parent().expect("segment in a chain dir");
+            let mut log = SegmentedLog::open(chain).expect("reopen victim WAL");
             for seq in [900u64, 901] {
                 log.append(
                     StreamId::Tm,
@@ -364,9 +371,9 @@ fn corruption_before_the_tail_is_distinguished_from_a_torn_tail() {
                 .expect("append survivor frame");
             }
         }
-        let mut raw = std::fs::read(wal).expect("read victim WAL");
-        raw[intact as usize + 4] ^= 0x01; // CRC byte of the first appended frame
-        std::fs::write(wal, &raw).expect("write damage");
+        let mut raw = std::fs::read(seg).expect("read victim segment");
+        raw[intact + 4] ^= 0x01; // CRC byte of the first appended frame
+        std::fs::write(seg, &raw).expect("write damage");
     });
     assert_eq!(
         outcome,
@@ -414,7 +421,6 @@ fn invariant_violation_dumps_the_flight_recorder() {
     assert!(dump.contains("decision"), "{dump}");
     assert!(dump.contains(&format!("{txn:?}")), "{dump}");
     assert!(dump.contains("commit"), "{dump}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {

@@ -1,18 +1,18 @@
-//! The live runtime over durable file logs: commits survive on disk and
-//! the recovery scan reads them back.
+//! The live runtime over durable file logs (`with_file_log`, one TM and
+//! one RM segment chain per node): commits survive on disk and the chain
+//! scan reads them back.
 
-use tpc_common::{NodeId, Op, Outcome, ProtocolKind};
+use tpc_common::{NodeId, Op, Outcome, ProtocolKind, TempDir};
 use tpc_runtime::{LiveCluster, LiveNodeConfig};
-use tpc_wal::file::scan;
+use tpc_wal::segment::scan_chain;
 use tpc_wal::StreamId;
 
 #[test]
 fn file_backed_cluster_commits_and_logs_durably() {
-    let dir = std::env::temp_dir().join(format!("tpc-live-log-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("live-log");
     let cluster = LiveCluster::start(vec![
-        LiveNodeConfig::new(ProtocolKind::PresumedNothing).with_file_log(&dir),
-        LiveNodeConfig::new(ProtocolKind::PresumedNothing).with_file_log(&dir),
+        LiveNodeConfig::new(ProtocolKind::PresumedNothing).with_file_log(dir.path()),
+        LiveNodeConfig::new(ProtocolKind::PresumedNothing).with_file_log(dir.path()),
     ]);
     for i in 0..3 {
         let t = cluster.begin(NodeId(0));
@@ -26,7 +26,7 @@ fn file_backed_cluster_commits_and_logs_durably() {
     // The coordinator's on-disk log holds the PN history for all three
     // transactions: CommitPending*, Committed* per txn (END may be
     // buffered, unforced — exactly the §2 contract).
-    let records = scan(dir.join("node-0.log")).expect("scan coordinator log");
+    let records = scan_chain(dir.join("node-0-wal")).expect("scan coordinator chain");
     let kinds: Vec<&str> = records
         .iter()
         .filter(|(_, s, _)| *s == StreamId::Tm)
@@ -35,9 +35,12 @@ fn file_backed_cluster_commits_and_logs_durably() {
     assert_eq!(kinds.iter().filter(|k| **k == "CommitPending").count(), 3);
     assert_eq!(kinds.iter().filter(|k| **k == "Committed").count(), 3);
 
-    let sub_records = scan(dir.join("node-1.log")).expect("scan subordinate log");
+    let sub_records = scan_chain(dir.join("node-1-wal")).expect("scan subordinate chain");
     assert!(sub_records
         .iter()
         .any(|(_, _, r)| r.kind_name() == "Prepared"));
-    std::fs::remove_dir_all(&dir).ok();
+    // The log is not shared, so the subordinate's redo has a chain of
+    // its own.
+    let redo = scan_chain(dir.join("node-1-rm-wal")).expect("scan subordinate RM chain");
+    assert!(redo.iter().any(|(_, _, r)| r.kind_name() == "RmUpdate"));
 }

@@ -12,19 +12,16 @@
 //!    observe records a group flush actually made durable, and the
 //!    transaction behind the lost force aborts cluster-wide.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use tpc_common::config::GroupCommitConfig;
-use tpc_common::{NodeId, Op, Outcome, ProtocolKind, SimDuration};
+use tpc_common::{NodeId, Op, Outcome, ProtocolKind, SimDuration, TempDir};
 use tpc_core::Timeouts;
 use tpc_obs::Phase;
 use tpc_runtime::{verify, LiveCluster, LiveNodeConfig, StorageFaultPlan};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tpc-gc-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("gc-{tag}"))
 }
 
 /// Two waves of 32 concurrent transactions (all 32 of a wave are
@@ -38,7 +35,7 @@ fn stress(gc: Option<GroupCommitConfig>, tag: &str) -> Vec<tpc_runtime::NodeSumm
     let root = NodeId(0);
     let server = NodeId(1);
     let cfg = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-        .with_file_log(&dir)
+        .with_file_log(dir.path())
         .with_group_commit(gc);
     let c = LiveCluster::start(vec![cfg.clone(), cfg]);
 
@@ -76,7 +73,6 @@ fn stress(gc: Option<GroupCommitConfig>, tag: &str) -> Vec<tpc_runtime::NodeSumm
     assert!(unresolved.is_empty(), "{tag}: {unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
     assert!(wal.is_empty(), "{tag}: {wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
     summaries
 }
 
@@ -145,7 +141,7 @@ fn idle_lane_flushes_partial_batches_without_waiting_for_the_timer() {
         adaptive: false,
     };
     let cfg = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-        .with_file_log(&dir)
+        .with_file_log(dir.path())
         .with_group_commit(Some(gc))
         .with_observability();
     let c = LiveCluster::start(vec![cfg.clone(), cfg]);
@@ -159,7 +155,6 @@ fn idle_lane_flushes_partial_batches_without_waiting_for_the_timer() {
     assert!(c.quiesce(Duration::from_secs(20)), "must quiesce");
     let prom = c.prometheus_dump();
     let summaries = c.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 
     // The exposition splits the flush counter by trigger.
     let series = |trigger: &str| -> u64 {
@@ -294,10 +289,10 @@ fn kill_mid_batch_loses_the_suspended_force_and_stays_atomic() {
     };
     let mut c = LiveCluster::start(vec![
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_timeouts(timeouts),
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_timeouts(timeouts)
             .with_group_commit(Some(gc))
             .kill_after_frames(2),
@@ -343,7 +338,6 @@ fn kill_mid_batch_loses_the_suspended_force_and_stays_atomic() {
     assert!(unresolved.is_empty(), "{unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
     assert!(wal.is_empty(), "{wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -367,7 +361,7 @@ fn restarted_lane_flushes_the_batch_recovery_opened() {
         in_doubt_query: SimDuration::from_millis(200),
     };
     let cfg = LiveNodeConfig::new(ProtocolKind::PresumedNothing)
-        .with_file_log(&dir)
+        .with_file_log(dir.path())
         .with_timeouts(timeouts);
     let mut c = LiveCluster::start(vec![
         cfg.clone().with_group_commit(Some(gc)).kill_after_frames(2),
@@ -425,5 +419,4 @@ fn restarted_lane_flushes_the_batch_recovery_opened() {
     assert!(unresolved.is_empty(), "{unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 3).expect("scan WALs");
     assert!(wal.is_empty(), "{wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

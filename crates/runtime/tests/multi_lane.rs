@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use tpc_common::{NodeId, Op, Outcome, ProtocolKind};
+use tpc_common::{NodeId, Op, Outcome, ProtocolKind, TempDir};
 use tpc_runtime::{lane_of, LiveCluster, LiveNodeConfig};
 
 fn lanes_cluster(n: usize, lanes: usize, protocol: ProtocolKind) -> LiveCluster {
@@ -87,11 +87,10 @@ fn kill_and_restart_replays_the_shared_wal_across_lanes() {
     // volatile state) and restarts from its one shared WAL: the replay
     // repartitions recovered transactions back to their owning lanes,
     // so committed writes survive and every lane keeps working.
-    let dir = std::env::temp_dir().join(format!("tpc-ml-restart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("ml-restart");
     let cfg = || {
         LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
+            .with_file_log(dir.path())
             .with_lanes(4)
     };
     let mut c = LiveCluster::start(vec![cfg(), cfg()]);
@@ -130,7 +129,6 @@ fn kill_and_restart_replays_the_shared_wal_across_lanes() {
     for s in c.shutdown() {
         assert_eq!(s.active_txns, 0, "{:?}", s.node);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

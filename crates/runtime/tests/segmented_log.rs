@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use tpc_common::{NodeId, Op, Outcome, ProtocolKind, SimDuration};
+use tpc_common::{NodeId, Op, Outcome, ProtocolKind, SimDuration, TempDir};
 use tpc_core::Timeouts;
 use tpc_runtime::{verify, LiveCluster, LiveNodeConfig, StorageFaultPlan};
 use tpc_wal::segment::scan_chain;
@@ -20,10 +20,8 @@ fn chaos_timeouts() -> Timeouts {
     }
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tpc-seg-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("seg-{tag}"))
 }
 
 fn healthy(dir: &std::path::Path) -> LiveNodeConfig {
@@ -36,8 +34,8 @@ fn healthy(dir: &std::path::Path) -> LiveNodeConfig {
 fn segmented_cluster_commits_and_logs_durably() {
     let dir = temp_dir("durable");
     let cluster = LiveCluster::start(vec![
-        LiveNodeConfig::new(ProtocolKind::PresumedNothing).with_segmented_log(&dir),
-        LiveNodeConfig::new(ProtocolKind::PresumedNothing).with_segmented_log(&dir),
+        LiveNodeConfig::new(ProtocolKind::PresumedNothing).with_segmented_log(dir.path()),
+        LiveNodeConfig::new(ProtocolKind::PresumedNothing).with_segmented_log(dir.path()),
     ]);
     for i in 0..3 {
         let t = cluster.begin(NodeId(0));
@@ -62,7 +60,6 @@ fn segmented_cluster_commits_and_logs_durably() {
     // engine runs the subordinate role of the same protocol stream).
     let sub = scan_chain(dir.join("node-1-wal")).expect("scan subordinate chain");
     assert!(sub.iter().any(|(_, _, r)| r.kind_name() == "Prepared"));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -118,7 +115,6 @@ fn segmented_backend_survives_in_doubt_kill_and_restart() {
         assert!(unresolved.is_empty(), "lanes={lanes}: {unresolved:?}");
         let wal = verify::check_wal_agreement(&dir, 2).expect("scan chains");
         assert!(wal.is_empty(), "lanes={lanes}: {wal:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -174,7 +170,6 @@ fn segmented_backend_absorbs_transient_fsync_failures() {
     assert!(unresolved.is_empty(), "{unresolved:?}");
     let wal = verify::check_wal_agreement(&dir, 2).expect("scan chains");
     assert!(wal.is_empty(), "{wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -223,5 +218,68 @@ fn segmented_torn_tail_is_classified_at_restart() {
     assert_eq!(rec.torn_tails, 1, "{rec:?}");
     assert_eq!(rec.corruption_before_tail, 0, "{rec:?}");
     c.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Commits that age a subordinate's chain past two 1 MiB rotations: each
+/// overwrites one of 8 hot keys with a 4 KiB value, so its redo record
+/// carries about 8 KiB (before and after images).
+const AGE_COMMITS: usize = 320;
+
+#[test]
+fn committed_writes_survive_reclaimed_segments_and_a_restart() {
+    // The shared chain carries the RM's redo next to the TM's records.
+    // A key written once, before the chain rotates past the segment
+    // holding it, must read back after the node restarts from that
+    // chain: `End` lets the TM forget a transaction, not the store.
+    let filler = "x".repeat(4096);
+    for protocol in [ProtocolKind::PresumedAbort, ProtocolKind::PresumedNothing] {
+        for lanes in [1usize, 4] {
+            let case = format!("{protocol:?} lanes={lanes}");
+            let dir = temp_dir(&format!("aged-{protocol:?}-{lanes}"));
+            let cfg = || {
+                LiveNodeConfig::new(protocol)
+                    .with_segmented_log(dir.path())
+                    .with_lanes(lanes)
+                    .with_timeouts(chaos_timeouts())
+            };
+            let mut c =
+                LiveCluster::start(vec![cfg(), cfg()]).with_reply_timeout(Duration::from_secs(20));
+            let commit = |key: &str, value: &str| {
+                let t = c.begin(NodeId(0));
+                t.work(NodeId(1), vec![Op::put(key, value)]);
+                let r = t.commit().expect("root alive");
+                assert_eq!(r.outcome, Outcome::Commit, "{case}: {key}");
+            };
+
+            commit("early", "kept");
+            let mut last = String::new();
+            for i in 0..AGE_COMMITS {
+                last = format!("{i:04}{filler}");
+                commit(&format!("hot{}", i % 8), &last);
+            }
+            assert!(c.quiesce(Duration::from_secs(20)), "{case}");
+
+            c.kill(NodeId(1)).expect("kill the subordinate");
+            c.restart(NodeId(1)).expect("restart from the chain");
+            assert_eq!(
+                c.read_eventually(NodeId(1), "early", Duration::from_secs(10)),
+                Some(b"kept".to_vec()),
+                "{case}: a committed write was lost with a reclaimed segment"
+            );
+            assert_eq!(
+                c.read_eventually(
+                    NodeId(1),
+                    &format!("hot{}", (AGE_COMMITS - 1) % 8),
+                    Duration::from_secs(10)
+                ),
+                Some(last.into_bytes()),
+                "{case}"
+            );
+            c.shutdown();
+            let segments = std::fs::read_dir(dir.join("node-1-wal"))
+                .expect("subordinate chain")
+                .count();
+            assert!(segments >= 3, "{case}: the chain must rotate twice");
+        }
+    }
 }

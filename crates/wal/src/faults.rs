@@ -2,10 +2,10 @@
 //!
 //! The wire already has [`FaultPlan`-style] chaos; this module gives the
 //! *log device* the same treatment. [`FaultyLog`] wraps a backend
-//! (memory or file) and subjects it to the failure modes real disks
+//! (memory or segmented) and subjects it to the failure modes real disks
 //! exhibit: fsync calls that fail transiently or permanently, writes
-//! rejected for lack of space, synthetic fsync latency, and — for
-//! file-backed logs — torn writes and bit rot that only surface when the
+//! rejected for lack of space, synthetic fsync latency, and — on a
+//! segment file — torn writes and bit rot that only surface when the
 //! next recovery scan reads the image back.
 //!
 //! All randomness comes from the plan's seed, so a failing chaos run
@@ -345,18 +345,15 @@ impl std::fmt::Debug for FaultyLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::file::FileLog;
+    use crate::file::TailState;
     use crate::mem::MemLog;
-    use tpc_common::{NodeId, TxnId};
+    use crate::segment::{segment_path, SegmentedLog};
+    use tpc_common::{NodeId, TempDir, TxnId};
 
     fn end(n: u64) -> LogRecord {
         LogRecord::End {
             txn: TxnId::new(NodeId(0), n),
         }
-    }
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("tpc-wal-fault-{}-{name}.log", std::process::id()))
     }
 
     #[test]
@@ -435,10 +432,11 @@ mod tests {
 
     #[test]
     fn torn_write_at_crash_cuts_the_image_mid_frame() {
-        let path = tmp("torn");
-        let file = FileLog::create(&path).unwrap();
+        let dir = TempDir::new("wal-fault-torn");
+        let path = segment_path(&dir, 0);
+        let chain = SegmentedLog::create(&dir).unwrap();
         let plan = StorageFaultPlan::clean(9).with_torn_write_at(5);
-        let mut log = FaultyLog::new(Box::new(file), plan).with_path(&path);
+        let mut log = FaultyLog::new(Box::new(chain), plan).with_path(&path);
         log.append(StreamId::Tm, end(1), Durability::Forced)
             .unwrap();
         log.append(StreamId::Tm, end(2), Durability::Forced)
@@ -446,35 +444,41 @@ mod tests {
         log.crash_discard();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 5, "image torn");
         assert_eq!(log.stats.torn_writes.load(Ordering::Relaxed), 1);
+        drop(log);
         // Recovery sees a torn tail: the 5 leftover bytes are a partial
         // frame, not corruption in front of valid data.
-        let report = crate::file::scan_classified(&path).unwrap();
-        assert_eq!(report.records.len(), 0);
-        assert_eq!(report.tail, crate::file::TailState::TornTail);
-        std::fs::remove_file(&path).ok();
+        let reopened = SegmentedLog::open(&dir).unwrap();
+        assert_eq!(reopened.durable_records().len(), 0);
+        assert_eq!(reopened.recovered_tail(), TailState::TornTail);
     }
 
     #[test]
     fn bit_flip_at_crash_corrupts_a_committed_frame() {
-        let path = tmp("flip");
-        let file = FileLog::create(&path).unwrap();
+        let dir = TempDir::new("wal-fault-flip");
+        let path = segment_path(&dir, 0);
+        let chain = SegmentedLog::create(&dir).unwrap();
         // Flip a payload bit inside frame 0 (offset 12 is past the 9-byte
         // header) so frame 1 survives *after* the damage.
         let plan = StorageFaultPlan::clean(11).with_bit_flip_at(12, 3);
-        let mut log = FaultyLog::new(Box::new(file), plan).with_path(&path);
+        let mut log = FaultyLog::new(Box::new(chain), plan).with_path(&path);
         log.append(StreamId::Tm, end(1), Durability::Forced)
             .unwrap();
         log.append(StreamId::Tm, end(2), Durability::Forced)
             .unwrap();
         log.crash_discard();
-        let report = crate::file::scan_classified(&path).unwrap();
-        assert_eq!(report.records.len(), 0, "nothing before the damage");
+        assert_eq!(log.stats.bit_flips.load(Ordering::Relaxed), 1);
+        drop(log);
+        let reopened = SegmentedLog::open(&dir).unwrap();
         assert_eq!(
-            report.tail,
-            crate::file::TailState::CorruptionBeforeTail {
+            reopened.durable_records().len(),
+            0,
+            "nothing before the damage"
+        );
+        assert_eq!(
+            reopened.recovered_tail(),
+            TailState::CorruptionBeforeTail {
                 valid_frames_after: 1
             }
         );
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -14,12 +14,13 @@
 //!   volatile tail that a simulated crash destroys, exactly matching the
 //!   paper's definition ("non-forced log writes ... are not guaranteed to
 //!   survive a system failure");
-//! * [`file::FileLog`] — a real on-disk log with fsync and a recovery scan
-//!   that tolerates (and classifies) a torn tail;
-//! * [`segment::SegmentedLog`] — the same frame format over preallocated,
-//!   rotating fixed-size segments: steady-state appends never extend a
-//!   file (so `sync_data` skips metadata flushes) and fully-ended sealed
-//!   segments are reclaimed;
+//! * [`segment::SegmentedLog`] — the one on-disk log: checksummed frames
+//!   ([`file`](mod@file)) over preallocated, rotating fixed-size
+//!   segments, with fsync and a recovery scan that tolerates (and
+//!   classifies) a torn tail. Steady-state appends never extend a file
+//!   (so `sync_data` skips metadata flushes), and fully-ended sealed
+//!   segments of a chain that carries no resource-manager redo are
+//!   reclaimed;
 //! * [`faults::FaultyLog`] — seeded storage-fault injection over any
 //!   backend: fsync failures, ENOSPC, torn writes, bit rot, sync latency;
 //! * [`group::GroupCommitter`] — the §4 *Group Commits* batching policy as
@@ -39,7 +40,7 @@ pub mod segment;
 pub mod shared;
 
 pub use faults::{FaultyLog, StorageFaultPlan, StorageFaultStats};
-pub use file::{ScanReport, TailState};
+pub use file::TailState;
 pub use group::{FlushDecision, GroupCommitter, GroupStats};
 pub use log::{Durability, LogManager, LogStats, StreamId};
 pub use mem::MemLog;

@@ -1,14 +1,13 @@
 //! Segmented write-ahead log: preallocated, rotating fixed-size segments.
+//! This is the one on-disk log; every durable node backend builds it.
 //!
-//! [`FileLog`](crate::file::FileLog) appends to one ever-growing file, so
-//! every `sync_data` also pays the filesystem's metadata flush for the
-//! size extension — the dominant cost on the committed bench (file
-//! backend fsync-bound at 1–2k txn/s). This backend writes the *same*
-//! frame format into a chain of fixed-size segment files
-//! (`wal-0000.seg`, `wal-0001.seg`, …), each preallocated with
-//! `set_len` plus a real zero-fill pass at creation. Steady-state appends
-//! land inside blocks that already exist, so `sync_data` flushes data
-//! only — the direct attack on the fsync bound.
+//! A log that appends to one ever-growing file pays, on every
+//! `sync_data`, the filesystem's metadata flush for the size extension.
+//! This log writes checksummed frames ([`crate::file`]) into a chain of
+//! fixed-size segment files (`wal-0000.seg`, `wal-0001.seg`, …), each
+//! preallocated with `set_len` plus a real zero-fill pass at creation.
+//! Steady-state appends land inside blocks that already exist, so
+//! `sync_data` flushes data only.
 //!
 //! Rules of the chain:
 //!
@@ -19,27 +18,32 @@
 //! * **Recovery.** [`SegmentedLog::open`] scans segments in sequence
 //!   order. A sealed segment must parse cleanly up to its zero-filled
 //!   tail; the first segment showing damage ends the durable prefix and
-//!   is classified with the same [`TailState`] discipline as
-//!   [`scan_classified`](crate::file::scan_classified) — a torn tail if
-//!   nothing valid follows, corruption-before-tail if valid frames
-//!   survive after the damage (in that segment or any later one).
-//!   Everything past the damage point is discarded.
+//!   is classified as a [`TailState`]: a torn tail if nothing valid
+//!   follows, corruption-before-tail if valid frames survive after the
+//!   damage (in that segment or any later one). Everything past the
+//!   damage point is discarded.
 //! * **Retention.** Every record carries its transaction id; a TM `End`
 //!   record marks the transaction forgettable. When every transaction in
 //!   the *oldest* sealed segment has ended, the segment file is deleted
 //!   (prefix-only truncation keeps the chain contiguous). In-doubt
 //!   transactions — prepared without an outcome — pin their segments.
-//!   [`SegmentedLog::reclaim`] keys on TM `End` records only, whatever
-//!   stream wrote a segment's other frames, and deletes from the front of
-//!   the chain only. So a chain shared with RM streams loses committed
-//!   `RmUpdate`/`RmCommitted` redo that recovery still replays to rebuild
-//!   the store — an open data-loss defect, ROADMAP item 17.
+//! * **The RM pin.** `End` says the TM may forget a transaction, not
+//!   that a resource manager may: its `RmUpdate`/`RmCommitted` redo is
+//!   what recovery replays to rebuild the store. So the first frame a
+//!   chain carries on a `StreamId::Rm(_)` stream pins the whole chain:
+//!   it never reclaims again, and stops tracking transactions, since
+//!   nothing would read them. A reopen recomputes the pin from the
+//!   scanned chain. A TM-only chain keeps reclaiming; a chain shared with
+//!   RM streams (the paper's log sharing) or an RM's own chain grows
+//!   without bound until live redo is carried forward (ROADMAP item
+//!   17(b)). One PA abort already stops reclamation today, since it
+//!   leaves a transaction that never ends (item 17(d)).
 //! * **Crash model.** `crash_discard` drops the buffered writer without
 //!   flushing, re-scans the active segment from disk, and zero-fills the
-//!   non-durable tail — exactly the `FileLog` discipline, adapted to a
-//!   preallocated file where truncation would undo the preallocation.
+//!   non-durable tail, rather than truncating, which would undo the
+//!   preallocation.
 //!   [`FaultyLog`](crate::faults::FaultyLog) image damage (torn writes,
-//!   bit flips) applies to the first live segment file unchanged.
+//!   bit flips) applies to the segment file it is pointed at.
 //!
 //! An LSN is the segment's sequence number in its high 32 bits and the
 //! frame's byte offset inside that segment in its low 32 (capacity is
@@ -109,8 +113,10 @@ struct SealedSegment {
 pub struct SegmentedLog {
     dir: PathBuf,
     segment_bytes: u64,
-    /// Reclaim fully-ended sealed segments at rotation.
-    retain: bool,
+    /// Set by the first `StreamId::Rm(_)` frame: the chain carries redo
+    /// that recovery replays, so it never reclaims (see the module docs)
+    /// and keeps no transaction sets.
+    pinned: bool,
     /// Oldest-first chain of sealed segments.
     sealed: Vec<SealedSegment>,
     writer: BufWriter<File>,
@@ -213,8 +219,8 @@ fn scan_segment_bytes(raw: &[u8]) -> SegScan {
 }
 
 /// Counts the valid frames recoverable at any probe offset after `stop`
-/// — the `scan_classified` brute-force resync, reused for the chain's
-/// damaged segment.
+/// in the chain's damaged segment: a brute-force resync, O(segment ×
+/// frame), affordable because recovery scans are rare.
 fn survivors_after(raw: &[u8], stop: usize) -> u32 {
     let mut probe = stop + 1;
     while probe + HEADER_LEN <= raw.len() {
@@ -238,10 +244,9 @@ fn is_end_marker(record: &LogRecord) -> bool {
 }
 
 /// Read-only scan of the durable chain under `dir`, oldest segment
-/// first — the segmented twin of [`crate::file::scan`], for offline
-/// verification. Stops where recovery would (first damaged segment, or a
-/// sequence gap) without modifying anything on disk. A missing directory
-/// scans as empty.
+/// first, for offline verification. Stops where recovery would (first
+/// damaged segment, or a sequence gap) without modifying anything on
+/// disk. A missing directory scans as empty.
 pub fn scan_chain(dir: impl AsRef<Path>) -> Result<Vec<(Lsn, StreamId, LogRecord)>> {
     let dir = dir.as_ref();
     if !dir.exists() {
@@ -268,18 +273,15 @@ pub fn scan_chain(dir: impl AsRef<Path>) -> Result<Vec<(Lsn, StreamId, LogRecord
 }
 
 impl SegmentedLog {
-    /// Creates a fresh segmented log in `dir` (which is created if
-    /// missing and must not already contain segments) with the default
-    /// capacity and retention enabled.
+    /// Creates a fresh segmented log in `dir` with the default capacity.
     pub fn create(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::create_with(dir, DEFAULT_SEGMENT_BYTES, true)
+        Self::create_with(dir, DEFAULT_SEGMENT_BYTES)
     }
 
-    /// Creates a fresh segmented log with an explicit segment capacity
-    /// and retention policy. Existing segments in `dir` are removed —
-    /// `create` matches [`FileLog::create`](crate::file::FileLog::create)
-    /// truncation semantics.
-    pub fn create_with(dir: impl AsRef<Path>, segment_bytes: u64, retain: bool) -> Result<Self> {
+    /// Creates a fresh segmented log with an explicit segment capacity.
+    /// `dir` is created if missing; segments already in it are removed,
+    /// so a create always starts an empty chain.
+    pub fn create_with(dir: impl AsRef<Path>, segment_bytes: u64) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         for (_, path) in list_segments(&dir)? {
@@ -290,7 +292,7 @@ impl SegmentedLog {
         Ok(SegmentedLog {
             dir,
             segment_bytes,
-            retain,
+            pinned: false,
             sealed: Vec::new(),
             writer,
             active_seq: 0,
@@ -308,24 +310,25 @@ impl SegmentedLog {
         })
     }
 
-    /// Opens an existing segmented log with default capacity and
-    /// retention, recovering the durable prefix of the chain.
+    /// Opens an existing segmented log with the default capacity,
+    /// recovering the durable prefix of the chain.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with(dir, DEFAULT_SEGMENT_BYTES, true)
+        Self::open_with(dir, DEFAULT_SEGMENT_BYTES)
     }
 
     /// Opens an existing segmented log, scanning segments in sequence
     /// order. The first segment showing damage ends the durable prefix:
     /// its non-durable tail is zero-filled, later segments are deleted,
     /// and the stop is classified via [`SegmentedLog::recovered_tail`].
-    /// An empty or missing directory recovers to an empty log.
-    pub fn open_with(dir: impl AsRef<Path>, segment_bytes: u64, retain: bool) -> Result<Self> {
+    /// A chain that carries an RM frame comes back pinned. An empty or
+    /// missing directory recovers to an empty log.
+    pub fn open_with(dir: impl AsRef<Path>, segment_bytes: u64) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let segment_bytes = segment_bytes.clamp(MIN_SEGMENT_BYTES, MAX_SEGMENT_BYTES);
         let mut segments = list_segments(&dir)?;
         if segments.is_empty() {
-            return Self::create_with(&dir, segment_bytes, retain);
+            return Self::create_with(&dir, segment_bytes);
         }
         // A sequence gap orphans everything after it: frames there can
         // never join the chain, so the files are deleted. Rotation never
@@ -342,6 +345,7 @@ impl SegmentedLog {
 
         let mut sealed = Vec::new();
         let mut ended = IdSet::default();
+        let mut pinned = false;
         let mut tail = TailState::Clean;
         // (seq, stop, txns) of the segment that becomes active again.
         let mut active: Option<(u64, u64, IdSet<TxnId>)> = None;
@@ -351,7 +355,8 @@ impl SegmentedLog {
             let scan = scan_segment_bytes(&raw);
             let last = i + 1 == segments.len();
             let mut txns = IdSet::default();
-            for (_, _, rec) in scan.records {
+            for (_, stream, rec) in scan.records {
+                pinned |= matches!(stream, StreamId::Rm(_));
                 txns.insert(rec.txn());
                 if is_end_marker(&rec) {
                     ended.insert(rec.txn());
@@ -365,10 +370,9 @@ impl SegmentedLog {
                 }
                 continue;
             }
-            // Damage ends the durable prefix here. Classify with the
-            // scan_classified discipline, counting valid frames after the
-            // stop in this segment and in every later (now discarded)
-            // segment.
+            // Damage ends the durable prefix here. Classify it, counting
+            // valid frames after the stop in this segment and in every
+            // later (now discarded) segment.
             let mut survivors = survivors_after(&raw, scan.stop as usize);
             for (_, later) in &segments[i + 1..] {
                 if let Ok(later_raw) = fs::read(later) {
@@ -410,10 +414,10 @@ impl SegmentedLog {
         file.sync_all()?;
         file.seek(SeekFrom::Start(active_off))?;
 
-        Ok(SegmentedLog {
+        let mut log = SegmentedLog {
             dir,
             segment_bytes: cap,
-            retain,
+            pinned: false,
             sealed,
             writer: BufWriter::new(file),
             active_seq,
@@ -425,12 +429,16 @@ impl SegmentedLog {
             recovered_tail: tail,
             pending_forces: 0,
             scratch: Vec::new(),
-        })
+        };
+        if pinned {
+            log.pin();
+        }
+        Ok(log)
     }
 
     /// What [`SegmentedLog::open`] found at the end of the durable
-    /// prefix — the chain-wide analogue of
-    /// [`FileLog::recovered_tail`](crate::file::FileLog::recovered_tail).
+    /// prefix: a clean boundary, a torn tail, or corruption with valid
+    /// frames after it.
     pub fn recovered_tail(&self) -> TailState {
         self.recovered_tail
     }
@@ -457,10 +465,24 @@ impl SegmentedLog {
         self.sealed.len() + 1
     }
 
+    /// Pins the chain and drops the transaction sets nothing will read.
+    fn pin(&mut self) {
+        self.pinned = true;
+        self.active_txns = IdSet::default();
+        self.ended = IdSet::default();
+        for seg in &mut self.sealed {
+            seg.txns = IdSet::default();
+        }
+    }
+
     /// Deletes sealed segments from the front of the chain while every
     /// transaction they contain has ended; returns how many were
-    /// reclaimed. Called automatically at rotation when retention is on.
+    /// reclaimed. Called automatically at rotation. A pinned chain
+    /// reclaims nothing.
     pub fn reclaim(&mut self) -> usize {
+        if self.pinned {
+            return 0;
+        }
         let mut removed = 0;
         while let Some(first) = self.sealed.first() {
             // all() is vacuously true for an (unusual) empty segment —
@@ -502,14 +524,13 @@ impl SegmentedLog {
         )?);
         self.seg_stats.rotations += 1;
         self.seg_stats.segments_created += 1;
-        if self.retain {
-            self.reclaim();
-        }
+        self.reclaim();
         Ok(())
     }
 
     /// Writes one frame (rotating first if it does not fit) and updates
-    /// logical stats; the physical flush is the caller's job.
+    /// logical stats; the physical flush is the caller's job. The first
+    /// RM frame pins the chain.
     fn write_frame(
         &mut self,
         stream: StreamId,
@@ -527,6 +548,13 @@ impl SegmentedLog {
         if durability.is_forced() {
             self.pending_forces += 1;
             self.stats.forced_writes += 1;
+        }
+        if self.pinned {
+            return Ok(lsn);
+        }
+        if matches!(stream, StreamId::Rm(_)) {
+            self.pin();
+            return Ok(lsn);
         }
         self.active_txns.insert(record.txn());
         if is_end_marker(&record) {
@@ -663,6 +691,10 @@ impl LogManager for SegmentedLog {
         }
         let _ = self.writer.seek(SeekFrom::Start(stop));
         self.active_off = stop;
+        self.pending_forces = 0;
+        if self.pinned {
+            return;
+        }
         self.active_txns = scan.records.iter().map(|(_, _, r)| r.txn()).collect();
         // The torn tail is zeroed, so the retained chain on disk is the
         // whole truth about which transactions have ended.
@@ -672,7 +704,6 @@ impl LogManager for SegmentedLog {
             .filter(|(_, _, r)| is_end_marker(r))
             .map(|(_, _, r)| r.txn())
             .collect();
-        self.pending_forces = 0;
     }
 }
 
@@ -684,6 +715,7 @@ impl std::fmt::Debug for SegmentedLog {
             .field("active_seq", &self.active_seq)
             .field("active_off", &self.active_off)
             .field("sealed", &self.sealed.len())
+            .field("pinned", &self.pinned)
             .field("stats", &self.stats)
             .finish()
     }
@@ -692,10 +724,10 @@ impl std::fmt::Debug for SegmentedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpc_common::NodeId;
+    use tpc_common::{NodeId, TempDir};
 
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("tpc-wal-seg-{}-{name}", std::process::id()))
+    fn tmp(name: &str) -> TempDir {
+        TempDir::new(&format!("wal-seg-{name}"))
     }
 
     fn txn(n: u64) -> TxnId {
@@ -711,10 +743,6 @@ mod tests {
 
     fn end(n: u64) -> LogRecord {
         LogRecord::End { txn: txn(n) }
-    }
-
-    fn rm(dir: &PathBuf) {
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -735,13 +763,12 @@ mod tests {
         assert_eq!(recs[1].2.txn().seq, 2);
         assert!(recs[0].0 < recs[1].0, "LSNs monotone");
         assert_eq!(log.recovered_tail(), TailState::Clean);
-        rm(&dir);
     }
 
     #[test]
     fn preallocation_means_appends_never_extend_the_file() {
         let dir = tmp("prealloc");
-        let mut log = SegmentedLog::create_with(&dir, 4096, true).unwrap();
+        let mut log = SegmentedLog::create_with(&dir, 4096).unwrap();
         let path = segment_path(&dir, 0);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 4096);
         for i in 0..10 {
@@ -753,13 +780,12 @@ mod tests {
             4096,
             "file length untouched by appends"
         );
-        rm(&dir);
     }
 
     #[test]
     fn rotation_seals_and_chains_across_segments() {
         let dir = tmp("rotate");
-        let mut log = SegmentedLog::create_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
+        let mut log = SegmentedLog::create_with(&dir, MIN_SEGMENT_BYTES).unwrap();
         let mut lsns = Vec::new();
         for i in 0..20 {
             lsns.push(
@@ -772,14 +798,13 @@ mod tests {
         assert!(lsns.windows(2).all(|w| w[0] < w[1]), "LSNs monotone");
         // The full history survives a reopen, in order.
         drop(log);
-        let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
+        let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES).unwrap();
         let recs = log.durable_records();
         assert_eq!(recs.len(), 20);
         for (i, (_, _, rec)) in recs.iter().enumerate() {
             assert_eq!(rec.txn().seq, i as u64);
         }
         assert_eq!(log.recovered_tail(), TailState::Clean);
-        rm(&dir);
     }
 
     #[test]
@@ -791,7 +816,6 @@ mod tests {
         assert_eq!(log.durable_records().len(), 0);
         log.flush().unwrap();
         assert_eq!(log.durable_records().len(), 1);
-        rm(&dir);
     }
 
     #[test]
@@ -809,7 +833,6 @@ mod tests {
         let durable = log.durable_records();
         assert_eq!(durable.len(), 2);
         assert_eq!(durable[1].2.txn().seq, 3);
-        rm(&dir);
     }
 
     #[test]
@@ -829,7 +852,6 @@ mod tests {
         let s = log.stats();
         assert_eq!(s.physical_flushes, 1, "one flush covers the batch");
         assert_eq!(log.durable_records().len(), 3);
-        rm(&dir);
     }
 
     #[test]
@@ -838,7 +860,7 @@ mod tests {
         // its frames are lost mid-write: recovery must keep every frame
         // of the sealed segment and classify a torn tail.
         let dir = tmp("rotation-torn");
-        let mut log = SegmentedLog::create_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
+        let mut log = SegmentedLog::create_with(&dir, MIN_SEGMENT_BYTES).unwrap();
         let mut appended = 0u64;
         while log.segment_count() == 1 {
             log.append(StreamId::Tm, committed(appended), Durability::Forced)
@@ -849,7 +871,7 @@ mod tests {
         log.append(StreamId::Tm, committed(appended), Durability::Forced)
             .unwrap();
         drop(log);
-        let active: u64 = list_segments(&dir).unwrap().last().unwrap().0;
+        let active: u64 = list_segments(dir.path()).unwrap().last().unwrap().0;
         let path = segment_path(&dir, active);
         let raw = std::fs::read(&path).unwrap();
         let scan = scan_segment_bytes(&raw);
@@ -859,20 +881,19 @@ mod tests {
         f.set_len(tear_at).unwrap();
         drop(f);
 
-        let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
+        let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES).unwrap();
         assert_eq!(log.recovered_tail(), TailState::TornTail);
         let recs = log.durable_records();
         assert_eq!(recs.len() as u64, appended, "sealed prefix intact");
         for (i, (_, _, rec)) in recs.iter().enumerate() {
             assert_eq!(rec.txn().seq, i as u64);
         }
-        rm(&dir);
     }
 
     #[test]
     fn damage_in_sealed_segment_discards_later_segments_as_corruption() {
         let dir = tmp("mid-chain");
-        let mut log = SegmentedLog::create_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
+        let mut log = SegmentedLog::create_with(&dir, MIN_SEGMENT_BYTES).unwrap();
         let mut appended = 0u64;
         while log.segment_count() < 3 {
             log.append(StreamId::Tm, committed(appended), Durability::Forced)
@@ -886,7 +907,7 @@ mod tests {
         raw[HEADER_LEN + 2] ^= 0x10;
         std::fs::write(&path, &raw).unwrap();
 
-        let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
+        let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES).unwrap();
         assert!(
             log.recovered_tail().is_corruption(),
             "later valid frames must classify as corruption, got {:?}",
@@ -898,7 +919,7 @@ mod tests {
             "prefix recovery still applies"
         );
         assert_eq!(
-            list_segments(&dir).unwrap().len(),
+            list_segments(dir.path()).unwrap().len(),
             1,
             "segments after the damage are deleted"
         );
@@ -907,13 +928,12 @@ mod tests {
         log.append(StreamId::Tm, end(999), Durability::Forced)
             .unwrap();
         assert_eq!(log.durable_records().len(), 1);
-        rm(&dir);
     }
 
     #[test]
     fn retention_reclaims_ended_segments_and_keeps_in_doubt() {
         let dir = tmp("retention");
-        let mut log = SegmentedLog::create_with(&dir, 256, true).unwrap();
+        let mut log = SegmentedLog::create_with(&dir, 256).unwrap();
         // Txns 1..=20 run a full life cycle (Committed + End): once a
         // sealed segment holds only ended txns it is reclaimable.
         for i in 1..=20 {
@@ -966,44 +986,155 @@ mod tests {
         // Reclaimed history is gone from the durable view but the chain
         // still recovers cleanly.
         drop(log);
-        let log = SegmentedLog::open_with(&dir, 256, true).unwrap();
+        let log = SegmentedLog::open_with(&dir, 256).unwrap();
         assert_eq!(log.recovered_tail(), TailState::Clean);
         assert!(log
             .durable_records()
             .iter()
             .any(|(_, _, r)| r.txn() == txn(99)));
-        rm(&dir);
+    }
+
+    fn rm_update(n: u64) -> LogRecord {
+        LogRecord::RmUpdate {
+            rm: tpc_common::RmId(0),
+            txn: txn(n),
+            key: b"k".to_vec(),
+            before: None,
+            after: Some(b"v".to_vec()),
+        }
+    }
+
+    /// Appends `Committed` + `End` for `range` on the TM stream.
+    fn commit_and_end(log: &mut SegmentedLog, range: std::ops::Range<u64>) {
+        for i in range {
+            log.append(StreamId::Tm, committed(i), Durability::Forced)
+                .unwrap();
+            log.append(StreamId::Tm, end(i), Durability::Forced)
+                .unwrap();
+        }
     }
 
     #[test]
-    fn retention_never_reclaims_without_end_records() {
-        let dir = tmp("retention-off");
-        let mut log = SegmentedLog::create_with(&dir, 256, true).unwrap();
-        for i in 0..40 {
-            // RM-style stream: updates and outcomes but no TM End.
-            log.append(StreamId::Rm(0), committed(i), Durability::Forced)
+    fn an_rm_frame_pins_the_chain_across_reopen() {
+        let dir = tmp("rm-pin");
+        let mut log = SegmentedLog::create_with(&dir, 256).unwrap();
+        commit_and_end(&mut log, 0..20);
+        let before = log.segment_stats().segments_reclaimed;
+        assert!(before > 0, "a TM-only chain reclaims");
+        assert!(!log.pinned);
+
+        // Redo that recovery replays: from here on nothing is deleted,
+        // however many transactions end after it.
+        log.append(StreamId::Rm(0), rm_update(20), Durability::Forced)
+            .unwrap();
+        assert!(log.pinned);
+        commit_and_end(&mut log, 21..60);
+        assert_eq!(log.segment_stats().segments_reclaimed, before);
+        assert!(log.active_txns.is_empty() && log.ended.is_empty());
+        assert!(log.sealed.iter().all(|s| s.txns.is_empty()));
+        let first = log.first_segment_path();
+        drop(log);
+
+        let mut log = SegmentedLog::open_with(&dir, 256).unwrap();
+        assert!(log.pinned, "a reopen recomputes the pin from the chain");
+        commit_and_end(&mut log, 60..100);
+        assert_eq!(log.segment_stats().segments_reclaimed, 0);
+        assert!(first.exists(), "the segment holding the redo survives");
+        assert!(log
+            .durable_records()
+            .iter()
+            .any(|(_, s, r)| *s == StreamId::Rm(0) && r.txn() == txn(20)));
+    }
+
+    #[test]
+    fn a_partial_header_after_the_last_frame_is_a_torn_tail() {
+        let dir = tmp("short-header");
+        let next = {
+            let mut log = SegmentedLog::create(&dir).unwrap();
+            log.append(StreamId::Tm, end(1), Durability::Forced)
                 .unwrap();
-        }
-        assert!(log.segment_count() > 1);
+            log.append(StreamId::Tm, end(2), Durability::NonForced)
+                .unwrap()
+        };
+        // The second append was never flushed: its LSN is where the
+        // scan stops. Half a header lands there, as a torn write leaves.
+        let path = segment_path(&dir, 0);
+        let mut raw = std::fs::read(&path).unwrap();
+        let at = (next.0 & u64::from(u32::MAX)) as usize;
+        raw[at..at + 2].copy_from_slice(&[0x12, 0x34]);
+        std::fs::write(&path, &raw).unwrap();
+
+        let log = SegmentedLog::open(&dir).unwrap();
+        assert_eq!(log.recovered_tail(), TailState::TornTail);
+        assert_eq!(log.durable_records().len(), 1);
+    }
+
+    #[test]
+    fn the_scan_stop_classifies_clean_torn_or_corruption() {
+        // Writes `n` End frames, lets `damage` edit segment 0, reopens.
+        let reopen = |tag: &str, n: u64, damage: &dyn Fn(&mut Vec<u8>, usize)| {
+            let dir = tmp(tag);
+            let stop = {
+                let mut log = SegmentedLog::create(&dir).unwrap();
+                for i in 1..=n {
+                    log.append(StreamId::Tm, end(i), Durability::Forced)
+                        .unwrap();
+                }
+                scan_segment_bytes(&std::fs::read(segment_path(&dir, 0)).unwrap()).stop
+            };
+            let path = segment_path(&dir, 0);
+            let mut raw = std::fs::read(&path).unwrap();
+            damage(&mut raw, stop as usize);
+            std::fs::write(&path, &raw).unwrap();
+            let log = SegmentedLog::open(&dir).unwrap();
+            (log.recovered_tail(), log.durable_records().len())
+        };
+
+        // An untouched chain is clean.
+        assert_eq!(reopen("clean", 1, &|_, _| {}), (TailState::Clean, 1));
+
+        // A torn last frame: only its length word reached the disk.
+        let torn = reopen("torn", 2, &|raw, stop| raw[stop / 2 + 4..stop].fill(0));
+        assert_eq!(torn, (TailState::TornTail, 1));
+
+        // A bit flip inside frame 0 of 3, with frames 1 and 2 intact:
+        // corruption before the tail, and prefix recovery still applies.
+        let frame = |raw: &mut Vec<u8>, stop: usize| raw[stop / 3 / 2] ^= 0x40;
+        let (tail, kept) = reopen("corrupt", 3, &frame);
         assert_eq!(
-            log.segment_stats().segments_reclaimed,
-            0,
-            "no End markers -> nothing reclaimed"
+            tail,
+            TailState::CorruptionBeforeTail {
+                valid_frames_after: 2
+            }
         );
-        rm(&dir);
+        assert!(tail.is_corruption());
+        assert_eq!(kept, 0, "prefix recovery still applies");
+    }
+
+    #[test]
+    fn stats_count_forces_and_flushes() {
+        let dir = tmp("stats");
+        let mut log = SegmentedLog::create(&dir).unwrap();
+        log.append(StreamId::Tm, end(1), Durability::NonForced)
+            .unwrap();
+        log.append(StreamId::Tm, end(2), Durability::Forced)
+            .unwrap();
+        let s = log.stats();
+        assert_eq!(s.writes, 2);
+        assert_eq!(s.forced_writes, 1);
+        assert_eq!(s.physical_flushes, 1);
     }
 
     #[test]
     fn oversized_record_is_rejected_not_mangled() {
         let dir = tmp("oversize");
-        let mut log = SegmentedLog::create_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
+        let mut log = SegmentedLog::create_with(&dir, MIN_SEGMENT_BYTES).unwrap();
         let big = LogRecord::Committed {
             txn: txn(1),
             subordinates: (0..200).map(NodeId).collect(),
         };
         assert!(log.append(StreamId::Tm, big, Durability::Forced).is_err());
         assert_eq!(log.stats().writes, 0);
-        rm(&dir);
     }
 
     #[test]
@@ -1020,13 +1151,12 @@ mod tests {
             .unwrap();
         assert!(next > last);
         assert_eq!(log.durable_records().len(), 2);
-        rm(&dir);
     }
 
     #[test]
     fn durable_lsns_match_append_lsns_after_reclaim() {
         let dir = tmp("lsn-after-reclaim");
-        let mut log = SegmentedLog::create_with(&dir, 256, true).unwrap();
+        let mut log = SegmentedLog::create_with(&dir, 256).unwrap();
         let mut appended = Vec::new();
         for i in 0..40 {
             for rec in [committed(i), end(i)] {
@@ -1042,14 +1172,13 @@ mod tests {
         assert!(durable[0].0 > Lsn(0), "the chain's head was reclaimed");
         // The durable view is a suffix of what was appended, LSNs included.
         assert_eq!(durable[..], appended[appended.len() - durable.len()..]);
-        rm(&dir);
     }
 
     #[test]
     fn lsns_stay_monotone_across_reopen_after_reclaim() {
         let dir = tmp("lsn-reopen-reclaim");
         let last = {
-            let mut log = SegmentedLog::create_with(&dir, 256, true).unwrap();
+            let mut log = SegmentedLog::create_with(&dir, 256).unwrap();
             let mut last = Lsn(0);
             for i in 0..40 {
                 for rec in [committed(i), end(i)] {
@@ -1059,7 +1188,7 @@ mod tests {
             assert!(log.segment_stats().segments_reclaimed > 0);
             last
         };
-        let mut log = SegmentedLog::open_with(&dir, 256, true).unwrap();
+        let mut log = SegmentedLog::open_with(&dir, 256).unwrap();
         let recovered = log.durable_records();
         assert_eq!(
             recovered.last().map(|r| r.0),
@@ -1070,33 +1199,5 @@ mod tests {
             .append(StreamId::Tm, committed(40), Durability::Forced)
             .unwrap();
         assert!(next > last, "{next:?} after {last:?}: LSNs went backwards");
-        rm(&dir);
-    }
-
-    #[test]
-    fn file_and_segmented_logs_write_identical_frames() {
-        let dir = tmp("same-frames");
-        let path = dir.join("single.log");
-        let mut seg = SegmentedLog::create(&dir).unwrap();
-        let mut file = crate::file::FileLog::create(&path).unwrap();
-        for i in 0..8 {
-            let (stream, durability) = if i % 2 == 0 {
-                (StreamId::Tm, Durability::Forced)
-            } else {
-                (StreamId::Rm(3), Durability::NonForced)
-            };
-            let a = seg.append(stream, committed(i), durability).unwrap();
-            let b = file.append(stream, committed(i), durability).unwrap();
-            assert_eq!(a, b, "same frame lengths give the same LSNs");
-        }
-        seg.flush().unwrap();
-        file.flush().unwrap();
-        assert_eq!(seg.stats(), file.stats());
-        let single = std::fs::read(&path).unwrap();
-        let segment = std::fs::read(segment_path(&dir, 0)).unwrap();
-        assert!(!single.is_empty());
-        assert_eq!(segment[..single.len()], single[..]);
-        assert!(segment[single.len()..].iter().all(|&b| b == 0));
-        rm(&dir);
     }
 }

@@ -7,12 +7,12 @@
 //! the code now produces; replacing the fixture with it is a wire-format
 //! change and breaks every peer and log written before it.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use twopc::common::wire::Encode;
 use twopc::common::{
-    DamageReport, HeuristicOutcome, Lsn, NodeId, Outcome, RmId, SimTime, TraceCtx, TxnId, Vote,
-    VoteFlags,
+    DamageReport, HeuristicOutcome, Lsn, NodeId, Outcome, RmId, SimTime, TempDir, TraceCtx, TxnId,
+    Vote, VoteFlags,
 };
 use twopc::core::messages::{Bundle, Frame, ProtocolMsg};
 use twopc::wal::{Durability, LogManager, LogRecord, SegmentedLog, StreamId, TailState};
@@ -319,12 +319,6 @@ fn wal_records() -> Vec<(StreamId, LogRecord, Durability)> {
 /// segment files.
 const SEGMENT_BYTES: u64 = 128;
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("twopc-wal-golden-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// `name hex` lines for every segment file in `dir`, in name order.
 fn image_of(dir: &Path) -> String {
     let mut names: Vec<String> = std::fs::read_dir(dir)
@@ -354,10 +348,10 @@ fn parent_wal_image_reopens_with_the_same_records() {
     let image = fixture_lines(golden);
 
     // Writing the same records today yields the same bytes on disk.
-    let fresh = fresh_dir("write");
+    let fresh = TempDir::new("wal-golden-write");
     let mut expected = Vec::new();
     {
-        let mut log = SegmentedLog::create_with(&fresh, SEGMENT_BYTES, false).expect("create");
+        let mut log = SegmentedLog::create_with(&fresh, SEGMENT_BYTES).expect("create");
         for (stream, rec, durability) in wal_records() {
             let lsn = log.append(stream, rec.clone(), durability).expect("append");
             expected.push((lsn, stream, rec));
@@ -365,7 +359,6 @@ fn parent_wal_image_reopens_with_the_same_records() {
         log.flush().expect("flush");
     }
     let written = image_of(&fresh);
-    let _ = std::fs::remove_dir_all(&fresh);
     assert_eq!(
         fixture_lines(&written),
         image,
@@ -374,16 +367,14 @@ fn parent_wal_image_reopens_with_the_same_records() {
     assert!(image.len() > 1, "the image must span several segments");
 
     // The checked-in image reopens to exactly those records, cleanly.
-    let dir = fresh_dir("reopen");
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = TempDir::new("wal-golden-reopen");
     for (name, bytes) in &image {
         std::fs::write(dir.join(name), unhex(bytes)).expect("write segment");
     }
-    let log = SegmentedLog::open_with(&dir, SEGMENT_BYTES, false).expect("open image");
+    let log = SegmentedLog::open_with(&dir, SEGMENT_BYTES).expect("open image");
     let recovered: Vec<(Lsn, StreamId, LogRecord)> = log.durable_records();
     let tail = log.recovered_tail();
     drop(log);
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(recovered, expected);
     assert_eq!(tail, TailState::Clean);
 }
