@@ -105,14 +105,6 @@ pub fn table2() -> String {
         false,
         false,
     );
-    row(
-        "PC (extension)",
-        ProtocolKind::PresumedCommit,
-        none(),
-        Some(true),
-        false,
-        false,
-    );
     out
 }
 

@@ -1,15 +1,20 @@
 //! Protocol-variant and optimization configuration.
 //!
 //! The engine implements one state machine whose behaviour is steered by
-//! data: a [`ProtocolKind`] selecting the presumption/logging regime and an
-//! [`OptimizationConfig`] toggling each of the paper's §4 optimizations.
+//! data: a [`ProtocolKind`] whose [`ProtocolRules`] row selects the
+//! presumption/logging regime, and an [`OptimizationConfig`] toggling
+//! each of the paper's §4 optimizations.
 //! This keeps every variant comparable — the benches run the *same* code
 //! with different configuration rows, mirroring the paper's tables.
 
 use crate::time::SimDuration;
-use crate::{Error, Result};
+use crate::{Error, Outcome, Result};
 
 /// Which 2PC family a node runs.
+///
+/// The families differ only in the handful of rules collected in
+/// [`ProtocolRules`]; the engine reads those through
+/// [`ProtocolKind::rules`] and never branches on the variant itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// The baseline protocol of §2 / Figures 1–2: coordinator logs nothing
@@ -21,12 +26,6 @@ pub enum ProtocolKind {
     /// no information presumes abort, so the abort path needs no forces and
     /// no acks, and read-only transactions need no logging at all.
     PresumedAbort,
-    /// Presumed Commit (Mohan/Lindsay's sibling of PA, referenced by the
-    /// paper via R* [24, 25]): the coordinator force-logs a *collecting*
-    /// record before Phase 1; no information then presumes commit, so the
-    /// commit path needs no subordinate acks and no forced commit record at
-    /// subordinates' coordinator. Included as an extension for comparison.
-    PresumedCommit,
     /// IBM's Presumed Nothing (§3 / Figure 3): the coordinator force-logs a
     /// commit-pending record *before* sending Prepare, drives recovery
     /// itself, collects acknowledgments from every subordinate, and reports
@@ -34,12 +33,86 @@ pub enum ProtocolKind {
     PresumedNothing,
 }
 
+/// The rules by which one protocol family differs from the others: one
+/// row of [`ProtocolKind::rules`]'s table. Each column is a decision the
+/// engine makes; everything not listed here is common to every family.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProtocolRules {
+    /// Every coordinator seat forces a `CommitPending` record naming its
+    /// subordinates before Phase 1 (PN, Figure 3). Because that record
+    /// already names a last agent, a delegating initiator's `Prepared`
+    /// record rides unforced.
+    pub commit_pending: bool,
+    /// Aborts are force-logged, acknowledged and remembered for recovery
+    /// queries. Not under PA, where an abort leaves no trace and the
+    /// no-information answer presumes it.
+    pub remembers_aborts: bool,
+    /// The answer to a query about a transaction this node holds no
+    /// information on: `Some(outcome)` presumes it, `None` answers
+    /// "outcome unknown" and leaves the asker blocked (Basic).
+    pub presumption: Option<Outcome>,
+    /// The coordinator drives recovery: it re-drives the decision until
+    /// every subordinate has acknowledged, even under long locks or
+    /// wait-for-outcome, and its prepared participants never query (PN).
+    pub coordinator_recovers: bool,
+    /// The root application learns the outcome at the decision, before
+    /// the acknowledgments (PA's R*-style commit point).
+    pub notify_at_decision: bool,
+    /// Heuristic damage reports travel all the way up to the root (Basic,
+    /// PN); otherwise each coordinator absorbs its children's reports and
+    /// forwards only its own (PA, §3: "only reported to the immediate
+    /// coordinator").
+    pub damage_to_root: bool,
+}
+
+/// One row per [`ProtocolKind`], in declaration order.
+const RULES: [ProtocolRules; 3] = [
+    // Basic
+    ProtocolRules {
+        commit_pending: false,
+        remembers_aborts: true,
+        presumption: None,
+        coordinator_recovers: false,
+        notify_at_decision: false,
+        damage_to_root: true,
+    },
+    // PresumedAbort
+    ProtocolRules {
+        commit_pending: false,
+        remembers_aborts: false,
+        presumption: Some(Outcome::Abort),
+        coordinator_recovers: false,
+        notify_at_decision: true,
+        damage_to_root: false,
+    },
+    // PresumedNothing: the forced commit-pending record means a
+    // coordinator never forgets an unresolved transaction, so no
+    // information means it never reached Phase 2 and abort is safe.
+    ProtocolRules {
+        commit_pending: true,
+        remembers_aborts: true,
+        presumption: Some(Outcome::Abort),
+        coordinator_recovers: true,
+        notify_at_decision: false,
+        damage_to_root: true,
+    },
+];
+
+impl ProtocolRules {
+    /// Is `outcome` logged, acknowledged and remembered for queries?
+    /// Commits always are; aborts only under
+    /// [`remembers_aborts`](Self::remembers_aborts).
+    pub fn remembers(&self, outcome: Outcome) -> bool {
+        outcome == Outcome::Commit || self.remembers_aborts
+    }
+}
+
 impl ProtocolKind {
-    /// All protocol families, in the order the paper discusses them.
-    pub const ALL: [ProtocolKind; 4] = [
+    /// All protocol families, in the order the paper discusses them (and
+    /// the order of the rules table).
+    pub const ALL: [ProtocolKind; 3] = [
         ProtocolKind::Basic,
         ProtocolKind::PresumedAbort,
-        ProtocolKind::PresumedCommit,
         ProtocolKind::PresumedNothing,
     ];
 
@@ -48,36 +121,13 @@ impl ProtocolKind {
         match self {
             ProtocolKind::Basic => "2PC",
             ProtocolKind::PresumedAbort => "PA",
-            ProtocolKind::PresumedCommit => "PC",
             ProtocolKind::PresumedNothing => "PN",
         }
     }
 
-    /// Does the coordinator force a log record *before* Phase 1?
-    ///
-    /// True for PN (commit-pending) and PC (collecting).
-    pub fn logs_before_prepare(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::PresumedNothing | ProtocolKind::PresumedCommit
-        )
-    }
-
-    /// Does the commit path require acknowledgments from subordinates?
-    ///
-    /// PC presumes commit, so subordinates need not acknowledge a commit;
-    /// everyone else collects acks so the coordinator may forget.
-    pub fn commit_needs_acks(self) -> bool {
-        !matches!(self, ProtocolKind::PresumedCommit)
-    }
-
-    /// Does the abort path require acknowledgments and forced abort
-    /// records at subordinates?
-    ///
-    /// PA presumes abort: subordinates simply abort with no force and no
-    /// ack. Everyone else must confirm.
-    pub fn abort_needs_acks(self) -> bool {
-        !matches!(self, ProtocolKind::PresumedAbort)
+    /// This family's row of the rules table.
+    pub const fn rules(self) -> &'static ProtocolRules {
+        &RULES[self as usize]
     }
 }
 
@@ -339,21 +389,58 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protocol_predicates_match_paper() {
+    fn rules_rows_match_the_paper() {
         use ProtocolKind::*;
-        assert!(!Basic.logs_before_prepare());
-        assert!(!PresumedAbort.logs_before_prepare());
-        assert!(PresumedNothing.logs_before_prepare());
-        assert!(PresumedCommit.logs_before_prepare());
+        // One row per family, in the order ALL lists them: a family
+        // without a row, or a row missing from ALL, fails here.
+        assert_eq!(RULES.len(), ProtocolKind::ALL.len());
+        for (i, p) in ProtocolKind::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "{p} is out of table order");
+        }
 
-        assert!(Basic.abort_needs_acks());
-        assert!(!PresumedAbort.abort_needs_acks());
-        assert!(PresumedNothing.abort_needs_acks());
-
-        assert!(Basic.commit_needs_acks());
-        assert!(PresumedAbort.commit_needs_acks());
-        assert!(!PresumedCommit.commit_needs_acks());
-        assert!(PresumedNothing.commit_needs_acks());
+        // §2, Figures 1–2: nothing before Phase 1; aborts forced and
+        // acknowledged; no presumption, so a forgetful coordinator can
+        // only answer "unknown"; late notification; damage reported up
+        // the whole tree.
+        assert_eq!(
+            *Basic.rules(),
+            ProtocolRules {
+                commit_pending: false,
+                remembers_aborts: true,
+                presumption: None,
+                coordinator_recovers: false,
+                notify_at_decision: false,
+                damage_to_root: true,
+            }
+        );
+        // §3 Presumed Abort: aborts cost no force, no ack and no memory;
+        // no information presumes abort; subordinates drive recovery;
+        // the commit point returns control; damage goes one hop.
+        assert_eq!(
+            *PresumedAbort.rules(),
+            ProtocolRules {
+                commit_pending: false,
+                remembers_aborts: false,
+                presumption: Some(Outcome::Abort),
+                coordinator_recovers: false,
+                notify_at_decision: true,
+                damage_to_root: false,
+            }
+        );
+        // §3 / Figure 3 Presumed Nothing: commit-pending forced before
+        // Phase 1; every outcome acknowledged; the coordinator drives
+        // recovery and reports damage reliably to the root.
+        assert_eq!(
+            *PresumedNothing.rules(),
+            ProtocolRules {
+                commit_pending: true,
+                remembers_aborts: true,
+                presumption: Some(Outcome::Abort),
+                coordinator_recovers: true,
+                notify_at_decision: false,
+                damage_to_root: true,
+            }
+        );
     }
 
     #[test]

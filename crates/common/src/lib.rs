@@ -25,7 +25,7 @@ pub mod trace;
 pub mod vote;
 pub mod wire;
 
-pub use config::{AckMode, HeuristicPolicy, OptimizationConfig, ProtocolKind};
+pub use config::{AckMode, HeuristicPolicy, OptimizationConfig, ProtocolKind, ProtocolRules};
 pub use error::{Error, Result};
 pub use hash::{id_hash, shard_of, IdHasher, IdMap, IdSet};
 pub use ids::{Lsn, NodeId, RmId, TxnId};

@@ -158,11 +158,14 @@ pub fn check(
 }
 
 /// The configuration under which the paper promises the root sees every
-/// damage report: all nodes run PN with late acknowledgments and neither
-/// vote-reliable nor wait-for-outcome weakens the chain.
+/// damage report: every node's family forwards reports to the root and
+/// drives recovery from the coordinator (PN), acknowledgments are late,
+/// and neither vote-reliable nor wait-for-outcome weakens the chain.
 pub fn must_report_damage(nodes: &[NodeProtocolState]) -> bool {
     nodes.iter().all(|s| {
-        s.protocol == ProtocolKind::PresumedNothing
+        let rules = s.protocol.rules();
+        rules.damage_to_root
+            && rules.coordinator_recovers
             && s.ack_mode == AckMode::Late
             && !s.vote_reliable
             && !s.wait_for_outcome

@@ -348,7 +348,7 @@ impl ObsState {
 
     /// The seat ended: derive the phase intervals that have both
     /// endpoints and emit them. Seats that skip milestones (read-only
-    /// participants never log a decision; PC subordinates send no ack)
+    /// participants never log a decision; a PA abort sends no ack)
     /// simply contribute fewer phases.
     fn observe_end(&mut self, node: NodeId, end: SimTime, txn: TxnId) {
         self.remote.remove(&txn);

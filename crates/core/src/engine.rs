@@ -16,8 +16,8 @@
 
 use tpc_common::{
     DamageReport, Error, HeuristicOutcome, HeuristicPolicy, IdMap, IdSet, Lsn, NodeId,
-    OptimizationConfig, Outcome, ProtocolKind, Result, SimDuration, SimTime, TxnId, Vote,
-    VoteFlags,
+    OptimizationConfig, Outcome, ProtocolKind, ProtocolRules, Result, SimDuration, SimTime, TxnId,
+    Vote, VoteFlags,
 };
 use tpc_wal::{Durability, LogRecord, StreamId};
 
@@ -136,6 +136,9 @@ pub struct OwedAck {
 #[derive(Debug)]
 pub struct TmEngine {
     cfg: EngineConfig,
+    /// The protocol family's row of the rules table: every per-family
+    /// decision reads it.
+    rules: &'static ProtocolRules,
     seats: IdMap<TxnId, Seat>,
     /// Final seats, kept for recovery queries, re-delivery and reporting.
     completed: IdMap<TxnId, Seat>,
@@ -158,6 +161,7 @@ impl TmEngine {
     pub fn new(cfg: EngineConfig) -> Result<Self> {
         cfg.opts.validate()?;
         Ok(TmEngine {
+            rules: cfg.protocol.rules(),
             cfg,
             seats: IdMap::default(),
             completed: IdMap::default(),
@@ -350,6 +354,21 @@ impl TmEngine {
         }
     }
 
+    /// The pre-Phase-1 force of a coordinator seat (§3 / Figure 3): under
+    /// PN the seat durably names its subordinates before any Prepare
+    /// leaves, so a crash mid-voting restarts as an explicit abort.
+    fn log_commit_pending(&self, txn: TxnId, out: &mut Vec<Action>) {
+        if self.rules.commit_pending {
+            out.push(Action::Log {
+                record: LogRecord::CommitPending {
+                    txn,
+                    subordinates: self.seats[&txn].children.iter().map(|c| c.node).collect(),
+                },
+                durability: Durability::Forced,
+            });
+        }
+    }
+
     // ------------------------------------------------------------------
     // Application-facing events
     // ------------------------------------------------------------------
@@ -403,46 +422,14 @@ impl TmEngine {
 
         // Enroll standing partners (peer-to-peer conversations persist
         // across transactions) unless the leave-out exemption applies.
-        let partners = self.session_partners.clone();
-        let seat = self.seats.get_mut(&txn).expect("just inserted");
-        let mut skipped = 0u64;
-        for p in partners {
-            let already = seat.child(p).is_some();
-            if already {
-                continue;
-            }
-            if self.cfg.opts.leave_out && self.leave_out_ok.contains(&p) {
-                skipped += 1;
-                continue;
-            }
-            seat.child_mut(p);
-        }
-        self.metrics.left_out_of += skipped;
+        self.enroll_partners(txn, None);
 
-        if seat.poisoned {
+        if self.seats[&txn].poisoned {
             self.decide(txn, Outcome::Abort, now, out);
             return Ok(());
         }
 
-        // Pre-Phase-1 logging: PN's commit-pending, PC's collecting.
-        let subs: Vec<NodeId> = seat.children.iter().map(|c| c.node).collect();
-        match self.cfg.protocol {
-            ProtocolKind::PresumedNothing => out.push(Action::Log {
-                record: LogRecord::CommitPending {
-                    txn,
-                    subordinates: subs.clone(),
-                },
-                durability: Durability::Forced,
-            }),
-            ProtocolKind::PresumedCommit => out.push(Action::Log {
-                record: LogRecord::Collecting {
-                    txn,
-                    subordinates: subs.clone(),
-                },
-                durability: Durability::Forced,
-            }),
-            _ => {}
-        }
+        self.log_commit_pending(txn, out);
 
         // Choose a last agent: the most recently touched partner, or —
         // failing any data exchange this transaction — the final
@@ -455,11 +442,47 @@ impl TmEngine {
             }
         }
 
-        // Phase 1: prepare everyone except the delegate; skip children
-        // whose unsolicited vote already arrived.
-        let long_locks = self.cfg.opts.long_locks;
+        self.send_prepares(txn, out);
+
         let seat = self.seats.get_mut(&txn).expect("present");
-        let targets: Vec<(NodeId, bool)> = seat
+        seat.local = LocalState::Preparing;
+        out.push(Action::PrepareLocal {
+            txn,
+            rm_durability: self.rm_prepare_durability(),
+        });
+        out.push(Action::SetTimer {
+            txn,
+            kind: TimerKind::VoteCollection,
+            delay: self.cfg.timeouts.vote_collection,
+        });
+        // Everything else proceeds from LocalPrepared / votes.
+        Ok(())
+    }
+
+    /// Enrolls every standing partner (other than `skip`) not yet a child
+    /// of `txn`'s seat, unless the leave-out exemption applies to it.
+    fn enroll_partners(&mut self, txn: TxnId, skip: Option<NodeId>) {
+        let seat = self.seats.get_mut(&txn).expect("present");
+        let mut skipped = 0u64;
+        for &p in &self.session_partners {
+            if Some(p) == skip || seat.child(p).is_some() {
+                continue;
+            }
+            if self.cfg.opts.leave_out && self.leave_out_ok.contains(&p) {
+                skipped += 1;
+                continue;
+            }
+            seat.child_mut(p);
+        }
+        self.metrics.left_out_of += skipped;
+    }
+
+    /// Phase 1 from a coordinator seat: prepares every enrolled child —
+    /// not the delegate, and not a child whose unsolicited vote already
+    /// arrived.
+    fn send_prepares(&mut self, txn: TxnId, out: &mut Vec<Action>) {
+        let long_locks = self.cfg.opts.long_locks;
+        let targets: Vec<(NodeId, bool)> = self.seats[&txn]
             .children
             .iter()
             .filter(|c| c.state == ChildState::Enrolled)
@@ -481,20 +504,6 @@ impl TmEngine {
                 },
             );
         }
-
-        let seat = self.seats.get_mut(&txn).expect("present");
-        seat.local = LocalState::Preparing;
-        out.push(Action::PrepareLocal {
-            txn,
-            rm_durability: self.rm_prepare_durability(),
-        });
-        out.push(Action::SetTimer {
-            txn,
-            kind: TimerKind::VoteCollection,
-            delay: self.cfg.timeouts.vote_collection,
-        });
-        // Everything else proceeds from LocalPrepared / votes.
-        Ok(())
     }
 
     fn on_abort_requested(
@@ -537,74 +546,20 @@ impl TmEngine {
     /// prepare.
     fn begin_subordinate_phase_one(&mut self, txn: TxnId, _now: SimTime, out: &mut Vec<Action>) {
         // Enroll our own standing partners, same rule as a root.
-        let partners = self.session_partners.clone();
-        let seat = self.seats.get_mut(&txn).expect("seat exists");
-        let mut skipped = 0u64;
-        for p in partners {
-            if Some(p) == seat.upstream || seat.child(p).is_some() {
-                continue;
-            }
-            if self.cfg.opts.leave_out && self.leave_out_ok.contains(&p) {
-                skipped += 1;
-                continue;
-            }
-            seat.child_mut(p);
-        }
-        self.metrics.left_out_of += skipped;
+        let upstream = self.seats[&txn].upstream;
+        self.enroll_partners(txn, upstream);
 
         let seat = self.seats.get_mut(&txn).expect("seat exists");
         seat.stage = Stage::Voting;
         let has_children = !seat.children.is_empty();
 
-        // §3 / Figure 3: a PN cascaded coordinator force-logs
-        // commit-pending before propagating Prepare. PC likewise forces
-        // its Collecting record at every (cascaded) coordinator — without
-        // it, a crash here followed by a subordinate query would presume
-        // COMMIT for a transaction the root may abort.
+        // A cascaded coordinator forces its pre-Phase-1 record before
+        // propagating Prepare, as the root does.
         if has_children {
-            let subs: Vec<NodeId> = seat.children.iter().map(|c| c.node).collect();
-            match self.cfg.protocol {
-                ProtocolKind::PresumedNothing => out.push(Action::Log {
-                    record: LogRecord::CommitPending {
-                        txn,
-                        subordinates: subs,
-                    },
-                    durability: Durability::Forced,
-                }),
-                ProtocolKind::PresumedCommit => out.push(Action::Log {
-                    record: LogRecord::Collecting {
-                        txn,
-                        subordinates: subs,
-                    },
-                    durability: Durability::Forced,
-                }),
-                _ => {}
-            }
+            self.log_commit_pending(txn, out);
         }
 
-        let long_locks = self.cfg.opts.long_locks;
-        let targets: Vec<(NodeId, bool)> = self.seats[&txn]
-            .children
-            .iter()
-            .filter(|c| c.state == ChildState::Enrolled)
-            .map(|c| (c.node, c.worked))
-            .collect();
-        for (nodeid, expect_work) in targets {
-            self.seats
-                .get_mut(&txn)
-                .expect("present")
-                .child_mut(nodeid)
-                .state = ChildState::PrepareSent;
-            self.push_send(
-                out,
-                nodeid,
-                ProtocolMsg::Prepare {
-                    txn,
-                    long_locks,
-                    expect_work,
-                },
-            );
-        }
+        self.send_prepares(txn, out);
         if has_children {
             out.push(Action::SetTimer {
                 txn,
@@ -965,11 +920,7 @@ impl TmEngine {
             // Finished or unknown: satisfy at-least-once redelivery. The
             // coordinator retries until acked, so repeat the ack when the
             // protocol collects one.
-            let needs_ack = match outcome {
-                Outcome::Commit => self.cfg.protocol.commit_needs_acks(),
-                Outcome::Abort => self.cfg.protocol.abort_needs_acks(),
-            };
-            if needs_ack {
+            if self.rules.remembers(outcome) {
                 let report = self
                     .completed
                     .get(&txn)
@@ -1088,21 +1039,9 @@ impl TmEngine {
             return Ok(());
         }
         // No information: the presumption is the protocol's namesake.
-        let reply = match self.cfg.protocol {
-            ProtocolKind::PresumedAbort | ProtocolKind::PresumedNothing => {
-                // PN coordinators never forget an unresolved transaction
-                // (the forced commit-pending record guarantees it), so no
-                // information means it never reached Phase 2: abort safe.
-                ProtocolMsg::Decision {
-                    txn,
-                    outcome: Outcome::Abort,
-                }
-            }
-            ProtocolKind::PresumedCommit => ProtocolMsg::Decision {
-                txn,
-                outcome: Outcome::Commit,
-            },
-            ProtocolKind::Basic => ProtocolMsg::OutcomeUnknown { txn },
+        let reply = match self.rules.presumption {
+            Some(outcome) => ProtocolMsg::Decision { txn, outcome },
+            None => ProtocolMsg::OutcomeUnknown { txn },
         };
         self.push_send(out, from, reply);
         Ok(())
@@ -1222,15 +1161,15 @@ impl TmEngine {
     }
 
     fn arm_in_doubt_timers(&mut self, txn: TxnId, out: &mut Vec<Action>) {
-        // Subordinate-driven recovery for everyone except PN, whose
-        // coordinator drives recovery from its commit-pending record —
-        // for PN, the pre-vote liveness timer is cancelled here instead.
+        // Subordinate-driven recovery unless the coordinator drives it
+        // from its commit-pending record (PN) — then the pre-vote
+        // liveness timer is cancelled here instead.
         // One exception: an UNSOLICITED voter entered in-doubt before its
         // coordinator may have forced that commit-pending record (the
         // Prepare never arrived), so coordinator-driven recovery has
         // nothing durable to drive from — it must query for itself.
         let unsolicited_voter = self.seats.get(&txn).is_some_and(|s| s.self_prepared);
-        if self.cfg.protocol != ProtocolKind::PresumedNothing || unsolicited_voter {
+        if !self.rules.coordinator_recovers || unsolicited_voter {
             out.push(Action::SetTimer {
                 txn,
                 kind: TimerKind::InDoubtQuery,
@@ -1300,7 +1239,7 @@ impl TmEngine {
             // delegate, so the paper lets PN skip the extra force — the
             // prepared record rides unforced there.
             let subs: Vec<NodeId> = seat.decision_targets();
-            let durability = if self.cfg.protocol == ProtocolKind::PresumedNothing {
+            let durability = if self.rules.commit_pending {
                 Durability::NonForced
             } else {
                 Durability::Forced
@@ -1388,8 +1327,8 @@ impl TmEngine {
             && !(seat.is_delegate && seat.initiator_prepared);
         if all_read_only {
             out.push(Action::ForgetLocal { txn });
-            // PN/PC forced a pre-Phase-1 record; close it out (non-forced).
-            if self.cfg.protocol.logs_before_prepare() {
+            // PN forced a pre-Phase-1 record; close it out (non-forced).
+            if self.rules.commit_pending {
                 out.push(Action::Log {
                     record: LogRecord::End { txn },
                     durability: Durability::NonForced,
@@ -1459,7 +1398,6 @@ impl TmEngine {
                 }
             }
         }
-        let expects_acks = self.cfg.protocol.commit_needs_acks();
         for node in send_to {
             let is_initiator = self.seats[&txn].upstream == Some(node);
             if !is_initiator {
@@ -1467,11 +1405,7 @@ impl TmEngine {
                     .get_mut(&txn)
                     .expect("present")
                     .child_mut(node)
-                    .state = if expects_acks {
-                    ChildState::DecisionSent { retries: 0 }
-                } else {
-                    ChildState::Acked
-                };
+                    .state = ChildState::DecisionSent { retries: 0 };
             }
             self.push_send(
                 out,
@@ -1482,11 +1416,11 @@ impl TmEngine {
                 },
             );
         }
-        // Same PN exemption as `propagate_outcome_to_children`: PN
-        // participants never query, so the decider's re-drive timer must
-        // survive long locks or a crashed child stays in doubt forever.
-        let retries_required = self.cfg.protocol == ProtocolKind::PresumedNothing;
-        if expects_acks && (!self.cfg.opts.long_locks || retries_required) {
+        // Same exemption as `propagate_outcome_to_children`: where the
+        // coordinator drives recovery, participants never query, so the
+        // decider's re-drive timer must survive long locks or a crashed
+        // child stays in doubt forever.
+        if !self.cfg.opts.long_locks || self.rules.coordinator_recovers {
             out.push(Action::SetTimer {
                 txn,
                 kind: TimerKind::AckCollection,
@@ -1518,7 +1452,7 @@ impl TmEngine {
             .map(|c| c.node)
             .collect();
 
-        let presumed = !self.cfg.protocol.abort_needs_acks(); // PA
+        let presumed = !self.rules.remembers_aborts;
         if !presumed {
             out.push(Action::Log {
                 record: LogRecord::Aborted {
@@ -1608,9 +1542,7 @@ impl TmEngine {
                 // An abort can arrive before we voted (vote-collection
                 // timeout upstream, or recovery). A *commit* cannot bind
                 // us either: our YES was never sent, so no genuine commit
-                // decision includes this subtree — a "Commit" here can
-                // only be a false no-information presumption (PC) after
-                // the coordinator lost its state, and aborting our
+                // decision includes this subtree, and aborting our
                 // never-voted work is the safe resolution.
                 if seat.sent_vote.is_none() {
                     seat.outcome = Some(Outcome::Abort);
@@ -1653,20 +1585,13 @@ impl TmEngine {
 
         match outcome {
             Outcome::Commit => {
-                // A PC subordinate's commit record may ride unforced: if
-                // it is lost, no-information presumes commit (§3/PC).
-                let durability = if self.cfg.protocol == ProtocolKind::PresumedCommit {
-                    Durability::NonForced
-                } else {
-                    Durability::Forced
-                };
                 let subs = self.seats[&txn].decision_targets();
                 out.push(Action::Log {
                     record: LogRecord::Committed {
                         txn,
                         subordinates: subs,
                     },
-                    durability,
+                    durability: Durability::Forced,
                 });
                 let read_only_local = self.seats[&txn].local == LocalState::ReadOnly;
                 if read_only_local {
@@ -1689,8 +1614,7 @@ impl TmEngine {
                 self.try_advance_deciding(txn, now, out);
             }
             Outcome::Abort => {
-                let presumed = !self.cfg.protocol.abort_needs_acks();
-                if !presumed {
+                if self.rules.remembers_aborts {
                     let subs = self.seats[&txn].decision_targets();
                     out.push(Action::Log {
                         record: LogRecord::Aborted {
@@ -1724,10 +1648,7 @@ impl TmEngine {
         outcome: Outcome,
         out: &mut Vec<Action>,
     ) {
-        let expects_acks = match outcome {
-            Outcome::Commit => self.cfg.protocol.commit_needs_acks(),
-            Outcome::Abort => self.cfg.protocol.abort_needs_acks(),
-        };
+        let expects_acks = self.rules.remembers(outcome);
         // Note: a `Delegate` child is excluded — this function propagates
         // an outcome *learned from* the delegate, who obviously knows.
         let targets = match outcome {
@@ -1762,13 +1683,16 @@ impl TmEngine {
         }
         // Long locks defers the children's acks to piggyback on later
         // traffic, so the retry timer would only generate spurious
-        // re-drives — except under PN, whose in-doubt participants never
-        // query: there the coordinator's re-drive is the ONLY path by
-        // which a crashed-and-recovered child ever learns the outcome,
-        // so the timer stays armed (a live deferring child answers the
-        // re-drive by flushing its ack — see `on_decision`).
-        let retries_required = self.cfg.protocol == ProtocolKind::PresumedNothing;
-        if any_targets && expects_acks && (!self.cfg.opts.long_locks || retries_required) {
+        // re-drives — except where the coordinator drives recovery (PN):
+        // in-doubt participants never query, so the coordinator's
+        // re-drive is the ONLY path by which a crashed-and-recovered
+        // child ever learns the outcome, and the timer stays armed (a
+        // live deferring child answers the re-drive by flushing its ack
+        // — see `on_decision`).
+        if any_targets
+            && expects_acks
+            && (!self.cfg.opts.long_locks || self.rules.coordinator_recovers)
+        {
             out.push(Action::SetTimer {
                 txn,
                 kind: TimerKind::AckCollection,
@@ -1846,17 +1770,14 @@ impl TmEngine {
         // The root application regains control at the decision point when
         // the configuration says nobody upstream of it is owed certainty:
         // explicit early acks; long locks (the app must be free to start
-        // the next transaction that carries the piggybacked ack); PA/PC,
-        // whose commit point is the coordinator's force (R* style); or a
+        // the next transaction that carries the piggybacked ack); a family
+        // whose commit point is the coordinator's force (PA, R* style); or a
         // fully reliable subtree under vote-reliable. Wait-for-outcome
         // keeps the late path so the app hears about pending recovery.
         let use_early = !self.cfg.opts.wait_for_outcome
             && (self.cfg.opts.ack_mode == tpc_common::AckMode::Early
                 || self.cfg.opts.long_locks
-                || matches!(
-                    self.cfg.protocol,
-                    ProtocolKind::PresumedAbort | ProtocolKind::PresumedCommit
-                )
+                || self.rules.notify_at_decision
                 || (self.cfg.opts.vote_reliable && seat.subtree_reliable));
         if use_early {
             seat.notified = true;
@@ -1880,12 +1801,12 @@ impl TmEngine {
         if !seat.all_settled() || seat.awaiting_initiator_ack {
             return;
         }
-        // PN: a handed-over (AckPending) child still owes its ack and
-        // will never query for the outcome — the seat cannot retire (its
-        // END would abandon the re-drive; see `retry_acks`), but
-        // wait-for-outcome's contract still releases the application now
-        // with the pending indication.
-        if self.cfg.protocol == ProtocolKind::PresumedNothing && seat.any_ack_pending() {
+        // Coordinator-driven recovery (PN): a handed-over (AckPending)
+        // child still owes its ack and will never query for the outcome —
+        // the seat cannot retire (its END would abandon the re-drive; see
+        // `retry_acks`), but wait-for-outcome's contract still releases
+        // the application now with the pending indication.
+        if self.rules.coordinator_recovers && seat.any_ack_pending() {
             self.notify_pending_early(txn, out);
             return;
         }
@@ -1924,9 +1845,9 @@ impl TmEngine {
 
         // END record: written wherever we logged anything. A PA abort
         // wrote nothing and writes nothing now (the whole point).
-        let pa_presumed_abort = outcome == Outcome::Abort && !self.cfg.protocol.abort_needs_acks();
+        let remembered = self.rules.remembers(outcome);
         let read_only_participant = seat.sent_vote == Some(Vote::ReadOnly);
-        if !pa_presumed_abort && !read_only_participant {
+        if remembered && !read_only_participant {
             out.push(Action::Log {
                 record: LogRecord::End { txn },
                 durability: Durability::NonForced,
@@ -1973,44 +1894,38 @@ impl TmEngine {
             if !seat.is_delegate {
                 // Subordinate: acknowledge upstream (unless the protocol
                 // says nobody is waiting, or an early ack already went).
-                let needs_ack = match outcome {
-                    Outcome::Commit => self.cfg.protocol.commit_needs_acks(),
-                    Outcome::Abort => self.cfg.protocol.abort_needs_acks(),
-                };
                 let already_acked = seat.notified; // early-ack path reuses the flag
-                if needs_ack && !already_acked {
+                if remembered && !already_acked {
                     // PN (and the baseline) propagate damage reports all
-                    // the way up; PA and PC report one hop only — child
-                    // reports are absorbed here (§3: "heuristic decisions
-                    // ... were only reported to the immediate
-                    // coordinator").
+                    // the way up; PA reports one hop only — child reports
+                    // are absorbed here (§3: "heuristic decisions ... were
+                    // only reported to the immediate coordinator").
                     let full = seat.report.clone();
-                    let forward = match self.cfg.protocol {
-                        ProtocolKind::PresumedNothing | ProtocolKind::Basic => full.clone(),
-                        ProtocolKind::PresumedAbort | ProtocolKind::PresumedCommit => {
-                            let mine = self.cfg.node;
-                            let absorbed = full
+                    let forward = if self.rules.damage_to_root {
+                        full
+                    } else {
+                        let mine = self.cfg.node;
+                        let absorbed = full
+                            .damaged
+                            .iter()
+                            .chain(full.heuristic_no_damage.iter())
+                            .filter(|n| **n != mine)
+                            .count();
+                        self.metrics.damage_reports_absorbed += absorbed as u64;
+                        DamageReport {
+                            heuristic_no_damage: full
+                                .heuristic_no_damage
+                                .iter()
+                                .copied()
+                                .filter(|n| *n == mine)
+                                .collect(),
+                            damaged: full
                                 .damaged
                                 .iter()
-                                .chain(full.heuristic_no_damage.iter())
-                                .filter(|n| **n != mine)
-                                .count();
-                            self.metrics.damage_reports_absorbed += absorbed as u64;
-                            DamageReport {
-                                heuristic_no_damage: full
-                                    .heuristic_no_damage
-                                    .iter()
-                                    .copied()
-                                    .filter(|n| *n == mine)
-                                    .collect(),
-                                damaged: full
-                                    .damaged
-                                    .iter()
-                                    .copied()
-                                    .filter(|n| *n == mine)
-                                    .collect(),
-                                outcome_pending: full.outcome_pending.clone(),
-                            }
+                                .copied()
+                                .filter(|n| *n == mine)
+                                .collect(),
+                            outcome_pending: full.outcome_pending.clone(),
                         }
                     };
                     self.send_or_defer_ack(txn, upstream, forward, pending, out);
@@ -2040,8 +1955,7 @@ impl TmEngine {
         }
 
         // PA's presumption: aborted transactions leave no trace.
-        let pa_presumed_abort = outcome == Outcome::Abort && !self.cfg.protocol.abort_needs_acks();
-        if !pa_presumed_abort {
+        if self.rules.remembers(outcome) {
             self.finished.insert(txn, outcome);
         }
         out.push(Action::TxnEnded { txn });
@@ -2140,12 +2054,12 @@ impl TmEngine {
     fn retry_acks(&mut self, txn: TxnId, now: SimTime, out: &mut Vec<Action>) {
         let outcome = self.seats[&txn].outcome.expect("deciding");
         let wait_for_outcome = self.cfg.opts.wait_for_outcome;
-        // PN participants never query, so a handed-over (AckPending)
-        // child can never be abandoned: wait-for-outcome still releases
-        // the application (see `try_advance_deciding`), but a PN
-        // coordinator keeps re-driving the decision until the ack
-        // actually arrives.
-        let keep_driving = self.cfg.protocol == ProtocolKind::PresumedNothing;
+        // Where the coordinator drives recovery (PN), participants never
+        // query, so a handed-over (AckPending) child can never be
+        // abandoned: wait-for-outcome still releases the application (see
+        // `try_advance_deciding`), but the coordinator keeps re-driving
+        // the decision until the ack actually arrives.
+        let keep_driving = self.rules.coordinator_recovers;
         let lagging: Vec<(NodeId, u8)> = self.seats[&txn]
             .children
             .iter()
@@ -2242,10 +2156,10 @@ impl TmEngine {
     /// Rebuilds engine state from the durable log after a crash and
     /// returns the actions that restart distributed resolution:
     ///
-    /// * interrupted voting (PN commit-pending / PC collecting, no
-    ///   outcome) → abort and drive the listed subordinates;
+    /// * interrupted voting (PN commit-pending, no outcome) → abort and
+    ///   drive the listed subordinates;
     /// * in doubt (prepared, no outcome) → query the coordinator (PA,
-    ///   basic, PC) or await the coordinator's re-drive (PN);
+    ///   basic) or await the coordinator's re-drive (PN);
     /// * decided but not ended → re-propagate the outcome, re-collect
     ///   acknowledgments;
     /// * ended → retained in the finished index for queries.
@@ -2293,10 +2207,7 @@ impl TmEngine {
                 };
                 seat.commit_started = Some(now);
                 seat.decided_at = Some(now);
-                let expects_acks = match outcome {
-                    Outcome::Commit => self.cfg.protocol.commit_needs_acks(),
-                    Outcome::Abort => self.cfg.protocol.abort_needs_acks(),
-                };
+                let expects_acks = self.rules.remembers(outcome);
                 for sub in subs {
                     seat.child_mut(sub).state = if expects_acks {
                         ChildState::DecisionSent { retries: 0 }
@@ -2339,11 +2250,7 @@ impl TmEngine {
             if summary.interrupted_voting() {
                 // The commit operation died mid-voting: abort and drive
                 // every subordinate we had enrolled.
-                let subs = summary
-                    .commit_pending
-                    .clone()
-                    .or(summary.collecting.clone())
-                    .unwrap_or_default();
+                let subs = summary.commit_pending.clone().unwrap_or_default();
                 let mut seat = Seat::new(txn);
                 seat.is_root = true;
                 seat.commit_started = Some(now);
@@ -2380,7 +2287,7 @@ impl TmEngine {
                 // transaction? Then the "coordinator" is the delegate and
                 // the stage is Delegated; querying it works identically.
                 self.seats.insert(txn, seat);
-                if self.cfg.protocol != ProtocolKind::PresumedNothing {
+                if !self.rules.coordinator_recovers {
                     self.push_send(&mut out, coordinator, ProtocolMsg::Query { txn });
                     out.push(Action::SetTimer {
                         txn,

@@ -1,10 +1,10 @@
 //! # tpc-core
 //!
 //! The paper's primary contribution: a two-phase-commit engine implementing
-//! the **baseline 2PC**, **Presumed Abort**, **Presumed Commit** and
-//! **Presumed Nothing** protocol families plus the ten normal-case
-//! optimizations of Samaras, Britton, Citron & Mohan, *"Two-Phase Commit
-//! Optimizations and Tradeoffs in the Commercial Environment"*, ICDE 1993.
+//! the **baseline 2PC**, **Presumed Abort** and **Presumed Nothing**
+//! protocol families plus the ten normal-case optimizations of Samaras,
+//! Britton, Citron & Mohan, *"Two-Phase Commit Optimizations and
+//! Tradeoffs in the Commercial Environment"*, ICDE 1993.
 //!
 //! ## Sans-IO design
 //!
@@ -25,7 +25,10 @@
 //! and an [`OptimizationConfig`](tpc_common::OptimizationConfig); every
 //! behavioural difference between the paper's variants — who logs what and
 //! when, which records are forced, who acknowledges, what a participant
-//! with no information presumes — is table-driven from those two values.
+//! with no information presumes — is table-driven from those two values:
+//! the family's row of the rules table
+//! ([`ProtocolRules`](tpc_common::ProtocolRules)) and the optimization
+//! switches.
 //! The benchmark harness regenerates the paper's Tables 2–4 by running the
 //! *same engine* with different configuration rows.
 //!

@@ -82,8 +82,8 @@ pub enum ProtocolMsg {
         txn: TxnId,
     },
     /// Recovery: the coordinator genuinely does not know (only possible
-    /// under the baseline protocol after information loss; PA answers
-    /// Abort, PC answers Commit by presumption). The subordinate stays
+    /// under the baseline protocol after information loss; PA and PN
+    /// answer Abort by presumption). The subordinate stays
     /// blocked — heuristic pressure territory.
     OutcomeUnknown {
         /// Transaction queried.

@@ -35,7 +35,7 @@ pub struct EngineMetrics {
     pub heuristic_damage: u64,
     /// Damage reported by the subtree in acknowledgments received here.
     /// At the root under PN this counts every damaged node in the tree —
-    /// the reliable reporting Figure 3 buys; under PA/PC one hop only.
+    /// the reliable reporting Figure 3 buys; under PA one hop only.
     pub damage_reports_received: u64,
     /// Damage reports received from children that were *not* forwarded
     /// upstream (PA's one-hop reporting) — the reliability loss the paper

@@ -7,7 +7,7 @@
 //!
 //! | durable state                         | restart action                    |
 //! |---------------------------------------|-----------------------------------|
-//! | `CommitPending`/`Collecting` only     | abort; drive subordinates         |
+//! | `CommitPending` only                  | abort; drive subordinates         |
 //! | `Prepared`, no outcome                | in doubt; query / await coordinator |
 //! | `Committed`/`Aborted`, no `End`       | re-propagate outcome, re-collect acks |
 //! | outcome + `End`                       | finished; keep for queries        |
@@ -23,8 +23,6 @@ use tpc_wal::{LogRecord, StreamId};
 pub struct TxnLogSummary {
     /// PN's pre-Phase-1 record: subordinates enrolled at commit initiation.
     pub commit_pending: Option<Vec<NodeId>>,
-    /// PC's pre-Phase-1 record.
-    pub collecting: Option<Vec<NodeId>>,
     /// Prepared record: (coordinator to ask, own subordinates).
     pub prepared: Option<(NodeId, Vec<NodeId>)>,
     /// Harness clock stamped into the Prepared record — when the in-doubt
@@ -60,9 +58,7 @@ impl TxnLogSummary {
     /// A coordinator's pre-Phase-1 record with no outcome: the commit
     /// operation was cut down mid-voting.
     pub fn interrupted_voting(&self) -> bool {
-        (self.commit_pending.is_some() || self.collecting.is_some())
-            && self.outcome().is_none()
-            && self.prepared.is_none()
+        self.commit_pending.is_some() && self.outcome().is_none() && self.prepared.is_none()
     }
 }
 
@@ -78,9 +74,6 @@ pub fn summarize(records: &[(Lsn, StreamId, LogRecord)]) -> BTreeMap<TxnId, TxnL
         match record {
             LogRecord::CommitPending { subordinates, .. } => {
                 entry.commit_pending = Some(subordinates.clone());
-            }
-            LogRecord::Collecting { subordinates, .. } => {
-                entry.collecting = Some(subordinates.clone());
             }
             LogRecord::Prepared {
                 coordinator,
@@ -182,7 +175,7 @@ mod tests {
         let mut log = MemLog::new();
         log.append(
             StreamId::Tm,
-            LogRecord::Collecting {
+            LogRecord::CommitPending {
                 txn: t(3),
                 subordinates: vec![NodeId(4), NodeId(5)],
             },

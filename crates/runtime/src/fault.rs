@@ -22,8 +22,12 @@ use tpc_core::messages::{Frame, ProtocolMsg};
 
 use crate::node::{Inbound, Transport, TransportCounter, TransportHealth};
 
-/// Whether an encoded frame carries application work (conversation
-/// traffic, spared by default — see [`FaultPlan::fault_work_frames`]).
+/// Whether an encoded frame carries application work. Such frames are
+/// never faulted: in the paper's model, conversation traffic rides
+/// reliable sessions (LU6.2) and it is the *commit protocol* messages
+/// that face loss. Dropping work silently is indistinguishable from the
+/// application never sending it — the transaction commits cleanly with
+/// the write absent.
 fn carries_work(bytes: &[u8]) -> bool {
     Frame::decode_all(bytes)
         .map(|f| {
@@ -51,14 +55,6 @@ pub struct FaultPlan {
     /// The wire goes permanently dead after this many sends (everything
     /// after, including held frames, is lost).
     pub disconnect_after: Option<u64>,
-    /// Whether frames carrying `Work` payloads are also subject to
-    /// faults. Off by default: in the paper's model, conversation
-    /// traffic rides reliable sessions (LU6.2) and it is the *commit
-    /// protocol* messages that face loss. Dropping work silently is
-    /// indistinguishable from the application never sending it — the
-    /// transaction commits cleanly with the write absent — so it is
-    /// opt-in for tests that want that failure mode.
-    pub fault_work_frames: bool,
 }
 
 impl FaultPlan {
@@ -71,7 +67,6 @@ impl FaultPlan {
             delay_rate: 0.0,
             delay_frames: 2,
             disconnect_after: None,
-            fault_work_frames: false,
         }
     }
 
@@ -97,13 +92,6 @@ impl FaultPlan {
     /// Kills the wire after `sends` outbound frames.
     pub fn with_disconnect_after(mut self, sends: u64) -> Self {
         self.disconnect_after = Some(sends);
-        self
-    }
-
-    /// Subjects `Work`-carrying frames to faults too (normally spared —
-    /// see [`FaultPlan::fault_work_frames`]).
-    pub fn with_faulty_work_frames(mut self) -> Self {
-        self.fault_work_frames = true;
         self
     }
 }
@@ -211,7 +199,7 @@ impl<T: Transport> FaultyWire<T> {
             let h = self.held.pop_front().expect("checked front");
             self.deliver(h.to, h.lane, h.bytes);
         }
-        if !self.plan.fault_work_frames && carries_work(&bytes) {
+        if carries_work(&bytes) {
             self.stats.delivered.fetch_add(1, Ordering::Relaxed);
             self.deliver(to, lane, bytes);
             return;

@@ -91,12 +91,6 @@ impl SimConfig {
         self
     }
 
-    /// Overrides the default latency.
-    pub fn with_latency(mut self, m: LatencyModel) -> Self {
-        self.latency = m;
-        self
-    }
-
     /// Overrides the horizon.
     pub fn with_horizon(mut self, h: SimDuration) -> Self {
         self.horizon = h;

@@ -1,9 +1,10 @@
 //! Deterministic protocol × optimization × crash-step sweep generator.
 //!
-//! Enumerates {Basic, PA, PN} × named optimization subsets × crash steps
-//! over one fixed topology — a three-node cascade (root → mid → leaf,
-//! everyone updating) — the smallest tree where every optimization in
-//! the matrix is observable: last-agent delegation, unsolicited votes,
+//! Enumerates every protocol family ([`ProtocolKind::ALL`]) × named
+//! optimization subsets × crash steps over one fixed topology — a
+//! three-node cascade (root → mid → leaf, everyone updating) — the
+//! smallest tree where every optimization in the matrix is observable:
+//! last-agent delegation, unsolicited votes,
 //! the cascaded early acknowledgment (early-ack and vote-reliable fire
 //! at an *intermediate*, never at a leaf), wait-for-outcome and
 //! long-locks ack deferral.
@@ -200,19 +201,11 @@ pub struct Cell {
     pub crash: CrashStep,
 }
 
-/// The protocols the sweep covers. PC is exercised by the Table 2 suite;
-/// the sweep pins the three families the paper's matrix centres on.
-pub const SWEEP_PROTOCOLS: [ProtocolKind; 3] = [
-    ProtocolKind::Basic,
-    ProtocolKind::PresumedAbort,
-    ProtocolKind::PresumedNothing,
-];
-
-/// The full deterministic enumeration: 3 protocols × 9 optimization
-/// subsets × 6 crash steps = 162 cells.
+/// The full deterministic enumeration: every protocol family × 9
+/// optimization subsets × 6 crash steps (3 × 9 × 6 = 162 cells).
 pub fn all_cells() -> Vec<Cell> {
     let mut cells = Vec::new();
-    for protocol in SWEEP_PROTOCOLS {
+    for protocol in ProtocolKind::ALL {
         for optset in OptSet::ALL {
             for crash in CrashStep::ALL {
                 cells.push(Cell {
@@ -298,15 +291,16 @@ impl Cell {
         if self.crash != CrashStep::None {
             return None;
         }
-        use ProtocolKind::*;
-        let pn = self.protocol == PresumedNothing;
+        // PN's CommitPending* on every coordinator seat: one write, forced.
+        let cp = u64::from(self.protocol.rules().commit_pending);
         // Baseline cascade accounting (Table 2 generalized, pinned by
         // table2_counts / table2_prop): per-seat the root pays
         // (2 writes, 1 forced) — Committed*, End — an updating
-        // intermediate (3, 2) + PN's CommitPending* on every coordinator
-        // seat, and an updating leaf (3, 2). Flows are 4 per edge.
-        let root_base = if pn { (3, 2) } else { (2, 1) };
-        let mid_base = if pn { (4, 3) } else { (3, 2) };
+        // intermediate (3, 2), and an updating leaf (3, 2), plus the
+        // CommitPending* on the two coordinator seats. Flows are 4 per
+        // edge.
+        let root_base = (2 + cp, 1 + cp);
+        let mid_base = (3 + cp, 2 + cp);
         let leaf_base = (3, 2);
         let some = |flows: (u64, u64), per_node| Some(CellCosts { flows, per_node });
         match self.optset {
@@ -329,8 +323,8 @@ impl Cell {
             // root↔mid round trip collapses: 4E − 2 flows, +1 when the
             // root's implied ack flushes as its own frame.
             OptSet::LastAgent | OptSet::LastAgentWait => {
-                let root = if pn { (4, 2) } else { (3, 2) };
-                let mid = if pn { (3, 2) } else { (2, 1) };
+                let root = (3 + cp, 2);
+                let mid = (2 + cp, 1 + cp);
                 some((6, 7), [root, mid, leaf_base])
             }
             // Unsolicited votes: the leaf self-prepares when its work
@@ -351,13 +345,13 @@ impl Cell {
     /// minimum `(root_forced, mid_forced, leaf_forced)` given the
     /// settled outcome was Commit.
     pub fn commit_floor(&self) -> (u64, u64, u64) {
-        let pn = self.protocol == ProtocolKind::PresumedNothing;
+        let cp = u64::from(self.protocol.rules().commit_pending);
         // Root: Committed* (PN additionally forced CommitPending*).
         // Mid / leaf: at least their Prepared* (mid's may be absent only
         // if it was the last-agent delegate, which never happens here —
         // the root delegates only under last_agent, and then mid still
         // forces its commit record as the decider).
-        (if pn { 2 } else { 1 }, 1, 1)
+        (1 + cp, 1, 1)
     }
 }
 

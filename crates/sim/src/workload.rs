@@ -72,12 +72,6 @@ impl TxnSpec {
         self
     }
 
-    /// Builder: adds a second-wave edge (sent mid-window).
-    pub fn with_late_edge(mut self, edge: WorkEdge) -> Self {
-        self.late_edges.push(edge);
-        self
-    }
-
     /// Builder: requests rollback instead of commit.
     pub fn aborting(mut self) -> Self {
         self.commit = false;

@@ -69,13 +69,6 @@ fn pn_survives_ten_percent_loss() {
 }
 
 #[test]
-fn pc_survives_ten_percent_loss() {
-    for seed in 0..4 {
-        run_lossy(ProtocolKind::PresumedCommit, 0.10, seed, 10);
-    }
-}
-
-#[test]
 fn heavy_loss_still_never_diverges() {
     // 30% loss: plenty of aborts, but never inconsistency.
     for seed in 0..3 {

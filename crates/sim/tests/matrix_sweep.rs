@@ -4,9 +4,9 @@
 //! closed-form flow/write/force accounting (clean cells) or the
 //! durable-floor rules (crash cells).
 //!
-//! 162 cells: {Basic, PA, PN} × 9 optimization subsets × {clean + 5
-//! crash steps at the cascade's intermediate node}. One failure reports
-//! every broken cell, not just the first.
+//! 162 cells: every protocol family ({Basic, PA, PN}) × 9 optimization
+//! subsets × {clean + 5 crash steps at the cascade's intermediate
+//! node}. One failure reports every broken cell, not just the first.
 
 use tpc_common::{Outcome, ProtocolKind};
 use tpc_sim::sweep::{all_cells, Cell, CrashStep};
@@ -55,12 +55,12 @@ fn check_cell(cell: &Cell) -> Result<(), String> {
         _ => {
             // Crash cells: the victim restarts at a fixed virtual time
             // and recovery must settle everything — with one documented
-            // exception. Basic has no presumption: a restarted node with
-            // no trace of the transaction can only answer "outcome
-            // unknown", so its partners may legitimately stay blocked
-            // (the paper's motivating defect — only the baseline may
-            // block).
-            let may_block = cell.protocol == ProtocolKind::Basic;
+            // exception. A family without a presumption (Basic): a
+            // restarted node with no trace of the transaction can only
+            // answer "outcome unknown", so its partners may legitimately
+            // stay blocked (the paper's motivating defect — only the
+            // baseline may block).
+            let may_block = cell.protocol.rules().presumption.is_none();
             if !may_block && !report.unresolved.is_empty() {
                 return Err(format!("{name}: unresolved {:?}", report.unresolved));
             }
@@ -150,7 +150,7 @@ fn full_matrix_sweep() {
 /// than the records the paper says it moves.
 #[test]
 fn optimizations_never_cost_extra_flows() {
-    for protocol in tpc_sim::sweep::SWEEP_PROTOCOLS {
+    for protocol in ProtocolKind::ALL {
         let baseline = Cell {
             protocol,
             optset: tpc_sim::OptSet::Baseline,
@@ -175,16 +175,16 @@ fn optimizations_never_cost_extra_flows() {
     }
 }
 
-/// PC is covered by the Table 2 suite; assert the sweep's protocol list
-/// stays the paper's core matrix so the cell count is stable.
+/// Every protocol family has sweep cells, and the same number of them: a
+/// family added to the rules table runs the whole matrix, with no way to
+/// skip it.
 #[test]
-fn sweep_protocols_are_the_papers_matrix() {
-    assert_eq!(
-        tpc_sim::sweep::SWEEP_PROTOCOLS,
-        [
-            ProtocolKind::Basic,
-            ProtocolKind::PresumedAbort,
-            ProtocolKind::PresumedNothing,
-        ]
-    );
+fn every_protocol_is_swept() {
+    let cells = all_cells();
+    let per_protocol = tpc_sim::OptSet::ALL.len() * CrashStep::ALL.len();
+    assert_eq!(cells.len(), ProtocolKind::ALL.len() * per_protocol);
+    for protocol in ProtocolKind::ALL {
+        let swept = cells.iter().filter(|c| c.protocol == protocol).count();
+        assert_eq!(swept, per_protocol, "{protocol} is not fully swept");
+    }
 }

@@ -82,7 +82,7 @@ fn traced_commit_produces_phase_tree() {
 #[test]
 fn observed_without_tracing_has_no_spans() {
     let mut sim = Sim::new(SimConfig::default().observed());
-    let cfg = NodeConfig::new(ProtocolKind::PresumedCommit);
+    let cfg = NodeConfig::new(ProtocolKind::PresumedNothing);
     let n0 = sim.add_node(cfg.clone());
     let n1 = sim.add_node(cfg);
     sim.declare_partner(n0, n1);

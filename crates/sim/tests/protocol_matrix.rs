@@ -1,6 +1,5 @@
-//! Cross-protocol cost matrix on deeper shapes: binary trees, PC's
-//! asymmetric abort/commit costs, read-only interactions with the
-//! pre-Phase-1 records.
+//! Cross-protocol cost matrix on deeper shapes: binary trees and
+//! read-only interactions with the pre-Phase-1 records.
 
 use tpc_common::{NodeId, OptimizationConfig, Outcome, ProtocolKind};
 use tpc_sim::{NodeConfig, RunReport, Sim, SimConfig, TxnSpec, WorkEdge};
@@ -44,68 +43,6 @@ fn binary_tree_costs_match_the_flat_formulas() {
     let (_, pn) = run_binary_tree(ProtocolKind::PresumedNothing, OptimizationConfig::none());
     assert_eq!(pn.protocol_flows(), 24);
     assert_eq!(pn.tm_forced(), 13 + 3, "basic + 3 commit-pending forces");
-
-    // PC removes the commit-ack flow on every edge and the subordinate
-    // commit forces, but adds the collecting forces at coordinators.
-    let (_, pc) = run_binary_tree(ProtocolKind::PresumedCommit, OptimizationConfig::none());
-    assert_eq!(pc.protocol_flows(), 3 * 6, "3(n-1): no commit acks");
-    assert_eq!(
-        pc.tm_forced(),
-        3 /* collecting at the 3 coordinators */
-            + 1 /* committed, forced only at the decider */
-            + 6, /* prepared at the 6 subordinates */
-        "every subordinate's commit record (intermediates included) rides \
-         unforced: losing one leaves a prepared+collecting history whose \
-         query presumes commit"
-    );
-}
-
-#[test]
-fn pc_abort_is_the_expensive_path() {
-    // Presumed COMMIT makes aborts pay: forced abort records and full
-    // acknowledgment, the mirror image of PA.
-    let run_abort = |protocol: ProtocolKind| {
-        let mut sim = Sim::new(SimConfig::default());
-        let cfg = NodeConfig::new(protocol);
-        let n0 = sim.add_node(cfg.clone());
-        let n1 = sim.add_node(cfg.vote_no_on(1));
-        sim.declare_partner(n0, n1);
-        sim.push_txn(TxnSpec::star_update(n0, &[n1], "t"));
-        let report = sim.run();
-        report.assert_clean();
-        assert_eq!(report.single().outcome, Outcome::Abort, "{protocol}");
-        (report.protocol_flows(), report.tm_forced())
-    };
-    let (pa_flows, pa_forced) = run_abort(ProtocolKind::PresumedAbort);
-    let (pc_flows, pc_forced) = run_abort(ProtocolKind::PresumedCommit);
-    assert_eq!(pa_forced, 0, "PA aborts are free");
-    assert!(
-        pc_forced >= 2,
-        "PC aborts force (collecting + aborted): {pc_forced}"
-    );
-    assert!(
-        pc_flows > pa_flows,
-        "PC aborts need the ack flow: {pc_flows} vs {pa_flows}"
-    );
-}
-
-#[test]
-fn pc_commit_beats_pa_commit_on_flows() {
-    // The PA/PC tradeoff in one line: PC saves the commit acks, PA saves
-    // the abort machinery. (Mohan & Lindsay's motivation for offering
-    // both.)
-    let run_commit = |protocol: ProtocolKind| {
-        let mut sim = Sim::new(SimConfig::default());
-        let cfg = NodeConfig::new(protocol);
-        let n0 = sim.add_node(cfg.clone());
-        let n1 = sim.add_node(cfg);
-        sim.declare_partner(n0, n1);
-        sim.push_txn(TxnSpec::star_update(n0, &[n1], "t"));
-        let report = sim.run();
-        report.assert_clean();
-        report.protocol_flows()
-    };
-    assert!(run_commit(ProtocolKind::PresumedCommit) < run_commit(ProtocolKind::PresumedAbort));
 }
 
 #[test]

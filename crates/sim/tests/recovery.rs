@@ -8,8 +8,6 @@
 //!   coordinator with no information answers ABORT.
 //! * **PN** — coordinator-driven: the restarted coordinator finds its
 //!   forced commit-pending record and re-drives the subordinates itself.
-//! * **PC** — a coordinator that crashed mid-voting must *explicitly*
-//!   abort its subordinates (no-information presumes commit).
 //! * decided-but-unfinished coordinators re-propagate the outcome.
 
 use tpc_common::{Outcome, ProtocolKind, SimDuration, SimTime};
@@ -100,22 +98,6 @@ fn pn_coordinator_redrive_aborts_the_subordinate() {
         !sub_trace.iter().any(|d| d.contains("Query")),
         "PN subordinates wait for the coordinator: {sub_trace:?}"
     );
-}
-
-#[test]
-fn pc_coordinator_explicitly_aborts_after_collecting_crash() {
-    let (mut sim, n0, n1) = coordinator_crash_mid_vote(ProtocolKind::PresumedCommit);
-    let report = sim.run();
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
-    assert!(report.unresolved.is_empty(), "{:?}", report.unresolved);
-    let seat = sim
-        .engine(n1)
-        .completed_seats()
-        .find(|s| s.txn.origin == n0)
-        .expect("subordinate resolved");
-    // Explicit abort — were the coordinator to stay silent, the
-    // subordinate's query would presume COMMIT, which would be wrong.
-    assert_eq!(seat.outcome, Some(Outcome::Abort));
 }
 
 #[test]

@@ -76,17 +76,6 @@ fn presumed_abort_commit_costs() {
 }
 
 #[test]
-fn presumed_commit_costs() {
-    // PC (extension): coordinator forces Collecting and Committed but
-    // needs no acks; the subordinate's commit record rides unforced and
-    // it sends no ack.
-    let c = run_pair(ProtocolKind::PresumedCommit, OptimizationConfig::none());
-    assert_eq!(c.flows, 3); // Prepare, Vote, Commit — no Ack
-    assert_eq!((c.coord_writes, c.coord_forced), (3, 2)); // Collecting*, Committed*, End
-    assert_eq!((c.sub_writes, c.sub_forced), (3, 1)); // Prepared*, Committed, End
-}
-
-#[test]
 fn presumed_abort_abort_costs() {
     // Table 2 row "PA, Abort case": coordinator 2 flows (Prepare, Abort),
     // 0 log writes; subordinate 1 flow (VoteNo), 0 log writes.

@@ -11,15 +11,12 @@
 //! |----------|---------------|-------------------|-------------------|
 //! | Basic/PA | 4E − 2R − U   | 2 + 3(E − R)      | 1 + 2(E − R)      |
 //! | PN       | 4E            | +1 per coordinator seat (forced)      |
-//! | PC       | 3E            | see per-seat table in the test        |
 //!
 //! Per-seat: a Basic/PA root logs (2 writes, 1 forced); every other
 //! updating participant (3, 2); a read-only participant (0, 0); an
 //! unsolicited voter saves exactly its Prepare flow and nothing else.
 //! PN adds one forced commit-pending record at every coordinator seat
-//! (root and interior). PC replaces the ack flow with nothing, logs
-//! (3, 2) at the root, (3, 1) at subordinate leaves, and (4, 2) at
-//! interior nodes (subordinate records plus a forced Collecting).
+//! (root and interior).
 
 use proptest::prelude::*;
 use tpc_common::{AckMode, NodeId, OptimizationConfig, Outcome, ProtocolKind};
@@ -164,7 +161,7 @@ proptest! {
 
     /// Every protocol family over random all-updating trees. Interior
     /// nodes are where the families genuinely differ: PN pays a forced
-    /// commit-pending per coordinator seat, PC a forced Collecting.
+    /// commit-pending per coordinator seat.
     #[test]
     fn protocol_families_tree_costs(
         raw in prop::collection::vec((any::<u32>(), 0u8..1), 1..=7)
@@ -172,29 +169,12 @@ proptest! {
         let shape = Shape::decode(&raw);
         let e = shape.edges() as u64;
         let interior = shape.interior_nonroot() as u64;
-        let leaves = e - interior;
-        for protocol in [
-            ProtocolKind::Basic,
-            ProtocolKind::PresumedAbort,
-            ProtocolKind::PresumedNothing,
-            ProtocolKind::PresumedCommit,
-        ] {
+        for protocol in ProtocolKind::ALL {
             let report = shape.run(|_| NodeConfig::new(protocol));
-            let (flows, writes, forced) = match protocol {
-                ProtocolKind::Basic | ProtocolKind::PresumedAbort => {
-                    (4 * e, 2 + 3 * e, 1 + 2 * e)
-                }
-                ProtocolKind::PresumedNothing => (
-                    4 * e,
-                    3 + 4 * interior + 3 * leaves,
-                    2 + 3 * interior + 2 * leaves,
-                ),
-                ProtocolKind::PresumedCommit => (
-                    3 * e,
-                    3 + 4 * interior + 3 * leaves,
-                    2 + 2 * interior + leaves,
-                ),
-            };
+            // One forced commit-pending per coordinator seat: the root
+            // and every interior node.
+            let pending = u64::from(protocol.rules().commit_pending) * (1 + interior);
+            let (flows, writes, forced) = (4 * e, 2 + 3 * e + pending, 1 + 2 * e + pending);
             prop_assert_eq!(
                 report.protocol_flows(),
                 flows,

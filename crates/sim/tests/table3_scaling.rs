@@ -202,22 +202,9 @@ fn every_protocol_scales_to_n11_cleanly() {
         );
         assert!(r.violations.is_empty(), "{protocol}: {:?}", r.violations);
         // PN adds exactly one forced commit-pending at the coordinator
-        // over basic; PC saves the subordinate ack flows.
-        match protocol {
-            ProtocolKind::Basic | ProtocolKind::PresumedAbort => {
-                assert_eq!(r.protocol_flows(), 40);
-                assert_eq!(r.tm_forced(), 21);
-            }
-            ProtocolKind::PresumedNothing => {
-                assert_eq!(r.protocol_flows(), 40);
-                assert_eq!(r.tm_forced(), 22);
-            }
-            ProtocolKind::PresumedCommit => {
-                assert_eq!(r.protocol_flows(), 30, "no commit acks");
-                // Collecting* + Committed* at the coordinator; only the
-                // prepared record forces at subordinates.
-                assert_eq!(r.tm_forced(), 2 + 10);
-            }
-        }
+        // over basic.
+        let commit_pending = u64::from(protocol.rules().commit_pending);
+        assert_eq!(r.protocol_flows(), 40, "{protocol}");
+        assert_eq!(r.tm_forced(), 21 + commit_pending, "{protocol}");
     }
 }

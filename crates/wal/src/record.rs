@@ -2,9 +2,9 @@
 //!
 //! The record vocabulary follows Figures 1–3 and 6–8 of the paper:
 //!
-//! * a **TM** writes `CommitPending` (PN, before Phase 1), `Collecting`
-//!   (PC), `Prepared` (a subordinate TM, or a last-agent initiator),
-//!   `Committed`, `Aborted`, heuristic records, and the non-forced `End`;
+//! * a **TM** writes `CommitPending` (PN, before Phase 1), `Prepared` (a
+//!   subordinate TM, or a last-agent initiator), `Committed`, `Aborted`,
+//!   heuristic records, and the non-forced `End`;
 //! * an **LRM** writes `RmUpdate` (undo/redo for one key), `RmPrepared`,
 //!   `RmCommitted`, `RmAborted`.
 //!
@@ -22,15 +22,6 @@ pub enum LogRecord {
     /// any Prepare is sent, that these subordinates exist and may need
     /// recovery driving or heuristic-damage collection (§3, Figure 3).
     CommitPending {
-        /// Transaction this record belongs to.
-        txn: TxnId,
-        /// Direct subordinates enrolled at the time of commit initiation.
-        subordinates: Vec<NodeId>,
-    },
-    /// PC only: the coordinator's pre-Phase-1 record naming the
-    /// subordinates, so that a coordinator crash between Prepare and the
-    /// decision can abort them explicitly (no-information presumes commit).
-    Collecting {
         /// Transaction this record belongs to.
         txn: TxnId,
         /// Direct subordinates enrolled at the time of commit initiation.
@@ -123,7 +114,6 @@ impl LogRecord {
     pub fn txn(&self) -> TxnId {
         match self {
             LogRecord::CommitPending { txn, .. }
-            | LogRecord::Collecting { txn, .. }
             | LogRecord::Prepared { txn, .. }
             | LogRecord::Committed { txn, .. }
             | LogRecord::Aborted { txn, .. }
@@ -153,7 +143,6 @@ impl LogRecord {
     pub fn kind_name(&self) -> &'static str {
         match self {
             LogRecord::CommitPending { .. } => "CommitPending",
-            LogRecord::Collecting { .. } => "Collecting",
             LogRecord::Prepared { .. } => "Prepared",
             LogRecord::Committed { .. } => "Committed",
             LogRecord::Aborted { .. } => "Aborted",
@@ -167,8 +156,9 @@ impl LogRecord {
     }
 }
 
+// Tag 2 is retired and never reused, so an old frame reads as damage,
+// never as another record.
 const TAG_COMMIT_PENDING: u8 = 1;
-const TAG_COLLECTING: u8 = 2;
 const TAG_PREPARED: u8 = 3;
 const TAG_COMMITTED: u8 = 4;
 const TAG_ABORTED: u8 = 5;
@@ -184,11 +174,6 @@ impl Encode for LogRecord {
         match self {
             LogRecord::CommitPending { txn, subordinates } => {
                 e.put_u8(TAG_COMMIT_PENDING);
-                txn.encode(e);
-                e.put_seq(subordinates);
-            }
-            LogRecord::Collecting { txn, subordinates } => {
-                e.put_u8(TAG_COLLECTING);
                 txn.encode(e);
                 e.put_seq(subordinates);
             }
@@ -276,10 +261,6 @@ impl Decode for LogRecord {
                 txn: TxnId::decode(d)?,
                 subordinates: d.get_seq()?,
             },
-            TAG_COLLECTING => LogRecord::Collecting {
-                txn: TxnId::decode(d)?,
-                subordinates: d.get_seq()?,
-            },
             TAG_PREPARED => LogRecord::Prepared {
                 txn: TxnId::decode(d)?,
                 coordinator: NodeId::decode(d)?,
@@ -355,10 +336,6 @@ mod tests {
                 txn,
                 subordinates: vec![NodeId(3), NodeId(4)],
             },
-            LogRecord::Collecting {
-                txn,
-                subordinates: vec![NodeId(9)],
-            },
             LogRecord::Prepared {
                 txn,
                 coordinator: NodeId(1),
@@ -424,6 +401,13 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert!(LogRecord::decode_all(&[0xEE]).is_err());
+        // A retired record (tag 2, pinned as `log.collecting` in the wire
+        // golden before its removal) is damage, not another record.
+        let retired = [
+            0x02, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+            0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+        ];
+        assert!(LogRecord::decode_all(&retired).is_err());
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! A Rust reproduction of *"Two-Phase Commit Optimizations and Tradeoffs
 //! in the Commercial Environment"* (Samaras, Britton, Citron, Mohan —
-//! ICDE 1993): the baseline 2PC, Presumed Abort, Presumed Commit and
-//! Presumed Nothing protocol families, the paper's ten normal-case
-//! optimizations, heuristic decisions with reliable damage reporting, and
-//! full crash recovery — implemented as a sans-IO engine with both a
+//! ICDE 1993): the baseline 2PC, Presumed Abort and Presumed Nothing
+//! protocol families, the paper's ten normal-case optimizations,
+//! heuristic decisions with reliable damage reporting, and full crash
+//! recovery — implemented as a sans-IO engine with both a
 //! deterministic simulator and a live threaded/TCP runtime.
 //!
 //! ## Crate map

@@ -34,7 +34,7 @@ fn live_costs(protocol: ProtocolKind) -> (Outcome, Vec<(u64, u64)>) {
     txn.work(NodeId(1), vec![Op::put("x/n1", "x")]);
     txn.work(NodeId(2), vec![Op::put("x/n2", "x")]);
     let result = txn.commit().expect("root alive");
-    // PA/PC return control at the commit point; give the background ack
+    // PA returns control at the commit point; give the background ack
     // collection a moment so END records land before we read the logs.
     assert!(cluster.quiesce(std::time::Duration::from_secs(2)));
     let summaries = cluster.shutdown();

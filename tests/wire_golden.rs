@@ -128,13 +128,6 @@ fn log_records() -> Vec<(&'static str, LogRecord)> {
             },
         ),
         (
-            "collecting",
-            LogRecord::Collecting {
-                txn: t,
-                subordinates: vec![NodeId(4)],
-            },
-        ),
-        (
             "prepared",
             LogRecord::Prepared {
                 txn: t,
